@@ -100,38 +100,17 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"{images} is not a permutation of 0..{len(images) - 1}")
 
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(tuple(range(k)))
-
-    @classmethod
-    def cycle_power(cls, k: int, e: int) -> "Permutation":
-        """The e-th power of the cycle sending each i to i+1 mod k."""
-        return cls(tuple((i + e) % k for i in range(k)))
-
     def __call__(self, a: int) -> int:
         return self.images[a]
 
     def __len__(self) -> int:
         return len(self.images)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: i -> self(other(i))."""
-        return Permutation(tuple(self.images[j] for j in other.images))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def shift_amount(self) -> int | None:
-        """The e with images[i] == i+e mod k for all i, or None."""
-        k = len(self.images)
-        e = self.images[0]
-        if all(self.images[i] == (i + e) % k for i in range(k)):
-            return e
-        return None
 
 
 @dataclass(frozen=True)

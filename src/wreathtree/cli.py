@@ -18,6 +18,7 @@ from .automaton import (
     AutomatonError,
     AutomatonFile,
     NotCyclicError,
+    ParseError,
     format_word,
     parse_automaton,
     parse_word,
@@ -30,7 +31,6 @@ from .decide import (
     conjugate,
     is_spherically_transitive,
     rational_form,
-    transitive_k2_fast,
 )
 from .modmath import abelian_vector, coefficient_stream, incidence_matrix
 from .oracle import level_transitive
@@ -49,7 +49,22 @@ def _load(path: str) -> tuple[AutomatonFile, str]:
     with open(path, "rb") as handle:
         data = handle.read()
     digest = hashlib.sha256(data).hexdigest()
-    return parse_automaton(data.decode("utf-8")), digest
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}") from None
+    return parse_automaton(text), digest
+
+
+def _count(text: str) -> int:
+    """argparse type for a count: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _render(value) -> str:
@@ -110,10 +125,10 @@ def _cmd_validate(args) -> int:
 def _cmd_transitive(args) -> int:
     parsed, digest = _load(args.file)
     g = parsed.initial_automaton()
-    verdict = transitive_k2_fast(g) if args.fast2 else is_spherically_transitive(g)
+    verdict = is_spherically_transitive(g)
     doc = {
         "command": "transitive",
-        "method": "fast2" if args.fast2 else "stream",
+        "method": "stream",
         "modulus": g.k,
         "transitive": verdict.transitive,
         "first_bad_index": verdict.first_bad_index,
@@ -135,7 +150,7 @@ def _cmd_coeffs(args) -> int:
         "command": "coeffs",
         "component": args.component,
         "count": args.count,
-        "modulus": vector.modulus,
+        "modulus": stream.modulus,
         "terms": stream.terms(args.count),
         "stream.preperiod": list(stream.preperiod),
         "stream.period": list(stream.period),
@@ -271,16 +286,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("transitive", help="decide spherical transitivity")
     p.add_argument("file")
-    p.add_argument(
-        "--fast2",
-        action="store_true",
-        help="use the bounded check for binary alphabets",
-    )
     p.set_defaults(func=_cmd_transitive)
 
     p = sub.add_parser("coeffs", help="print abelianization series coefficients")
     p.add_argument("file")
-    p.add_argument("--count", type=int, required=True, help="how many terms")
+    p.add_argument("--count", type=_count, required=True, help="how many terms")
     p.add_argument("--component", type=int, default=0, help="label component index")
     p.set_defaults(func=_cmd_coeffs)
 
@@ -301,7 +311,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("orbit", help="enumerate one tree level and count orbits")
     p.add_argument("file")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_count, required=True)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("apply", help="apply the machine to one word")

@@ -13,7 +13,7 @@ written at that vertex.  Two classical facts drive everything here:
 
 The stream coefficients are ``(A^j v)[init]`` where A is the incidence
 matrix of the machine and v holds the per-state shifts, so all of this
-reduces to iterating a small integer matrix mod m.
+reduces to iterating w -> A w mod m, the one kernel in ``modmath``.
 """
 
 from __future__ import annotations
@@ -34,20 +34,15 @@ from .modmath import (
     DEFAULT_VISIT_CAP,
     DimensionMismatchError,
     EventuallyPeriodicStream,
-    IncidenceMatrix,
     IntPolynomial,
-    IterationCapError,
-    ModVector,
     RationalSeries,
+    _iterates,
+    _rows,
     abelian_vector,
     coefficient_stream,
     det_poly,
     incidence_matrix,
 )
-
-
-class NotBinaryError(AutomatonError):
-    """The binary-alphabet shortcut was applied to a non-binary machine."""
 
 
 class ModuliMismatchError(AutomatonError):
@@ -116,122 +111,52 @@ def is_spherically_transitive(
     return TransitivityVerdict(bad is None, bad, stream)
 
 
-def transitive_k2_fast(g: InitialAutomaton) -> TransitivityVerdict:
-    """Binary-alphabet shortcut for the transitivity test.
-
-    Over a field the vectors v, Av, ..., A^n v are linearly dependent,
-    which makes n+2 leading stream terms enough to decide: if none of
-    them vanishes mod 2, none ever does.  Only those terms are ever
-    computed; a transitive verdict reports them with the all-ones tail
-    they provably continue into, a negative verdict stops at the first
-    zero term and repeats it as a placeholder tail.
-    """
-    if g.k != 2:
-        raise NotBinaryError(f"this shortcut needs alphabet size 2, got {g.k}")
-    labels = validate_cyclic(g.automaton)
-    matrix = incidence_matrix(g.automaton)
-    vector = abelian_vector(labels, 0)
-    n = g.automaton.n_states
-    w = vector.residues
-    terms = []
-    for _ in range(n + 2):
-        terms.append(w[g.initial])
-        w = matrix.matvec_mod(w, 2)
-    bad = next((j for j, t in enumerate(terms) if t == 0), None)
-    if bad is None:
-        stream = EventuallyPeriodicStream(2, tuple(terms), (1,))
-        return TransitivityVerdict(True, None, stream)
-    stream = EventuallyPeriodicStream(2, tuple(terms[:bad]), (0,))
-    return TransitivityVerdict(False, bad, stream)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
-
-
-def _stack(a: IncidenceMatrix, b: IncidenceMatrix) -> IncidenceMatrix:
-    rows = [row + (0,) * b.n for row in a.rows]
-    rows += [(0,) * a.n + row for row in b.rows]
-    return IncidenceMatrix(tuple(rows))
-
-
 def abelianization_equal(
     f: InitialAutomaton,
     g: InitialAutomaton,
     labels_f: AbelianLabels | None = None,
     labels_g: AbelianLabels | None = None,
-    path: str = "auto",
-    cap: int = DEFAULT_VISIT_CAP,
 ) -> tuple[bool, int | None]:
     """Whether f and g have the same abelianization series.
 
     Labels default to the cyclic shifts mod k; explicit labels allow any
     product of cyclic groups, compared component by component over the
-    shared moduli.  Each component stacks the two incidence matrices
-    into a block-diagonal matrix and asks whether the two marked
-    coordinates of its iterates ever differ.  Returns (equal, witness)
-    where the witness is the least series index at which any component
-    differs, or None.
+    shared moduli.  Each component iterates the two machines side by
+    side, as one block-diagonal incidence matrix A on d stacked states,
+    and asks whether the two marked coordinates of its iterates ever
+    differ.  Returns (equal, witness) where the witness is the least
+    series index at which any component differs, or None.
 
-    For a prime component modulus the vectors live over a field, so
-    only indices up to the number of stacked states minus one need
-    checking; the generic path runs the full cycle detection.  ``path``
-    may force "generic" or "prime" for cross-checking.
+    The difference of the marked coordinates is a linear functional of
+    the iterates w, A w, A^2 w, ... mod m.  The submodules they span
+    stop growing within d * Omega(m) steps, the length of (Z/m)^d, and
+    Cayley-Hamilton over Z/m tightens that to d: every iterate from
+    A^d w on is a combination of the d before it (see ``modmath``).  So
+    indices 0 .. d - 1 decide every component, whatever m is, and the
+    first index found is the least witness.
     """
     if f.k != g.k:
         raise AlphabetMismatchError(f"alphabet sizes differ: {f.k} != {g.k}")
-    if path not in ("auto", "generic", "prime"):
-        raise ValueError(f"unknown path {path!r}")
     labels_f = _labels_for(f, labels_f)
     labels_g = _labels_for(g, labels_g)
     if labels_f.moduli != labels_g.moduli:
         raise ModuliMismatchError(
             f"label moduli differ: {labels_f.moduli} != {labels_g.moduli}"
         )
-    matrix = _stack(incidence_matrix(f.automaton), incidence_matrix(g.automaton))
-    dim = matrix.n
-    i_f = f.initial
-    i_g = f.automaton.n_states + g.initial
+    n_f = f.automaton.n_states
+    delta = f.automaton.delta + tuple(
+        tuple(n_f + s for s in row) for row in g.automaton.delta
+    )
+    rows = _rows(delta)
+    i_f, i_g = f.initial, n_f + g.initial
     witness: int | None = None
     for component, m in enumerate(labels_f.moduli):
-        v_f = abelian_vector(labels_f, component)
-        v_g = abelian_vector(labels_g, component)
-        w = v_f.residues + v_g.residues
-        use_prime = path == "prime" or (path == "auto" and _is_prime(m))
-        if use_prime and not _is_prime(m):
-            raise ValueError(f"the prime path needs a prime modulus, got {m}")
-        found: int | None = None
-        if use_prime:
-            for j in range(dim):
-                if (w[i_f] - w[i_g]) % m != 0:
-                    found = j
-                    break
-                w = matrix.matvec_mod(w, m)
-        else:
-            seen = {w: 0}
-            j = 0
-            while True:
-                if (w[i_f] - w[i_g]) % m != 0:
-                    found = j
-                    break
-                w = matrix.matvec_mod(w, m)
-                if w in seen:
-                    break
-                if len(seen) >= cap:
-                    raise IterationCapError(
-                        f"visited more than {cap} distinct vectors without closing a cycle"
-                    )
-                j += 1
-                seen[w] = j
-        if found is not None and (witness is None or found < witness):
-            witness = found
+        w = tuple(row[component] for row in labels_f.labels + labels_g.labels)
+        bound = len(delta) if witness is None else witness
+        for j, w in zip(range(bound), _iterates(rows, w, m)):
+            if w[i_f] != w[i_g]:
+                witness = j
+                break
     return witness is None, witness
 
 
@@ -240,34 +165,25 @@ def conjugate(
 ) -> ConjugacyVerdict:
     """Three-valued conjugacy test inside the iterated wreath product.
 
-    For two transitive automorphisms the abelianization series is a
-    complete conjugacy invariant, so equality decides.  Transitivity
-    itself is a conjugacy invariant, so a transitive and a
-    non-transitive element are never conjugate.  When neither is
-    transitive this criterion says nothing and the verdict is left
-    undecided rather than guessed.
+    The abelianization series is a class function on the group, so
+    differing series prove the elements are not conjugate.  Equal series
+    also mean equal transitivity, since the series alone says whether
+    every coefficient is a unit, so one transitivity test settles both
+    elements.  For two transitive elements equal series are a complete
+    conjugacy invariant.  When neither is transitive the series says
+    nothing more and the verdict is left undecided rather than guessed.
     """
-    if f.k != g.k:
-        raise AlphabetMismatchError(f"alphabet sizes differ: {f.k} != {g.k}")
-    t_f = is_spherically_transitive(f, cap)
-    t_g = is_spherically_transitive(g, cap)
-    if t_f.transitive and t_g.transitive:
-        equal, witness = abelianization_equal(f, g, cap=cap)
-        if equal:
-            return ConjugacyVerdict(
-                ConjugacyStatus.CONJUGATE,
-                "both spherically transitive with equal abelianization series",
-            )
+    equal, witness = abelianization_equal(f, g)
+    if not equal:
         return ConjugacyVerdict(
             ConjugacyStatus.NOT_CONJUGATE,
-            f"both spherically transitive but the abelianization series "
-            f"first differ at index {witness}",
+            f"the abelianization series, a conjugacy invariant, first differ "
+            f"at index {witness}",
         )
-    if t_f.transitive != t_g.transitive:
+    if is_spherically_transitive(f, cap).transitive:
         return ConjugacyVerdict(
-            ConjugacyStatus.NOT_CONJUGATE,
-            "spherical transitivity is a conjugacy invariant and only one "
-            "element is spherically transitive",
+            ConjugacyStatus.CONJUGATE,
+            "both spherically transitive with equal abelianization series",
         )
     return ConjugacyVerdict(
         ConjugacyStatus.UNDECIDED,
@@ -296,15 +212,13 @@ def rational_form(
             f"component {component} out of range, labels have {len(labels.moduli)}"
         )
     m = labels.moduli[component]
-    matrix = incidence_matrix(g.automaton)
-    n = matrix.n
-    char = [
-        [
-            IntPolynomial((int(i == j), -matrix.rows[i][j]))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    n = g.automaton.n_states
+    char = []
+    for i, row in enumerate(g.automaton.delta):
+        counts = [0] * n
+        for s in row:
+            counts[s] += 1
+        char.append([IntPolynomial((int(i == j), -counts[j])) for j in range(n)])
     denominator = det_poly(char)
     lifted = [row[component] for row in labels.labels]
     for i in range(n):

@@ -5,12 +5,31 @@ state-transition incidence matrix of an automaton, eventually periodic
 coefficient streams found by remembering every visited vector, and
 fraction-free determinants of matrices over Z[t].  No floating point
 appears anywhere.
+
+One kernel computes w -> A w mod m for the incidence matrix A, and it
+never builds A: row q of A counts the successors of state q, so
+(A w)[q] is the sum of w over those successors.  ``incidence_matrix``
+keeps one ``itemgetter`` per state that reads them, and ``_iterates``
+yields w, A w, A^2 w, ... from it.
+
+Deciding whether a linear functional phi ever takes a nonzero value on
+these iterates needs no cycle search.  The Krylov submodules
+K_j = span(w, A w, ..., A^j w) of (Z/m)^d grow strictly until one
+equals the next, and then stay equal, since A K_j lies in K_{j+1}.  A
+strictly increasing chain of submodules of (Z/m)^d has at most
+d * Omega(m) steps, where Omega(m) counts the prime factors of m with
+multiplicity, so phi vanishes on every iterate once it vanishes on the
+first d * Omega(m).  Cayley-Hamilton sharpens that to d for every m:
+the characteristic polynomial of A is monic of degree d over Z, so
+A^d w, and by induction every later iterate, is a Z/m-combination of
+the d iterates before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .automaton import AbelianLabels, AutomatonError, BadComponentError, MealyAutomaton
 
@@ -27,55 +46,6 @@ class NonUnitConstantTermError(AutomatonError):
 
 class IterationCapError(AutomatonError):
     """Cycle search visited more vectors than the safety cap allows."""
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Square counting matrix; entry (r, s) counts symbols moving r to s.
-
-    Rows of a matrix derived from an automaton all sum to the alphabet
-    size, and the constructor insists on a common row sum.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        sums = set()
-        for row in rows:
-            if len(row) != n:
-                raise DimensionMismatchError("incidence matrix must be square")
-            for x in row:
-                if not isinstance(x, int) or x < 0:
-                    raise AutomatonError(f"incidence entries are nonnegative integers, got {x!r}")
-            sums.add(sum(row))
-        if len(sums) > 1:
-            raise AutomatonError(f"rows must share a common sum, got {sorted(sums)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def matvec_mod(self, vec, m: int) -> tuple[int, ...]:
-        return tuple(sum(row[j] * vec[j] for j in range(self.n)) % m for row in self.rows)
-
-
-@dataclass(frozen=True)
-class ModVector:
-    """A vector of canonical residues mod a fixed modulus."""
-
-    modulus: int
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
-        if self.modulus < 2:
-            raise AutomatonError(f"modulus {self.modulus} must be at least 2")
-        for c in self.residues:
-            if not 0 <= c < self.modulus:
-                raise AutomatonError(f"residue {c} out of range mod {self.modulus}")
 
 
 @dataclass(frozen=True)
@@ -106,33 +76,39 @@ class EventuallyPeriodicStream:
         return [self.term(j) for j in range(count)]
 
 
-def incidence_matrix(m: MealyAutomaton) -> IncidenceMatrix:
-    """Count, for each state pair (r, s), the symbols moving r to s."""
-    n = m.n_states
-    rows = []
-    for q in range(n):
-        row = [0] * n
-        for a in range(m.k):
-            row[m.delta[q][a]] += 1
-        rows.append(tuple(row))
-    return IncidenceMatrix(tuple(rows))
+def _rows(delta) -> tuple:
+    """One getter per state that reads w at the state's successors."""
+    return tuple(itemgetter(*row) for row in delta)
 
 
-def abelian_vector(labels: AbelianLabels, component: int) -> ModVector:
-    """One chosen component of the per-state labels as a residue vector."""
+def _iterates(rows, w: tuple[int, ...], m: int):
+    """Yield w, A w, A^2 w, ... mod m, where ``rows`` come from ``_rows``."""
+    while True:
+        yield w
+        w = tuple([sum(row(w)) % m for row in rows])
+
+
+def incidence_matrix(m: MealyAutomaton) -> tuple:
+    """The incidence matrix of m, one successor getter per state.
+
+    Entry (r, s) of the matrix counts the symbols moving r to s, so row
+    r applied to a vector is the sum of its entries at r's successors.
+    """
+    return _rows(m.delta)
+
+
+def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[int, ...]]:
+    """One chosen component of the per-state labels as (modulus, residues)."""
     if not 0 <= component < len(labels.moduli):
         raise BadComponentError(
             f"component {component} out of range, labels have {len(labels.moduli)}"
         )
-    return ModVector(
-        labels.moduli[component],
-        tuple(row[component] for row in labels.labels),
-    )
+    return labels.moduli[component], tuple(row[component] for row in labels.labels)
 
 
 def coefficient_stream(
-    matrix: IncidenceMatrix,
-    vector: ModVector,
+    matrix: tuple,
+    vector: tuple[int, tuple[int, ...]],
     init: int,
     cap: int = DEFAULT_VISIT_CAP,
 ) -> EventuallyPeriodicStream:
@@ -144,21 +120,23 @@ def coefficient_stream(
     period exactly.  A cap on the number of distinct vectors guards
     against runaway inputs.
     """
-    n = matrix.n
-    if len(vector.residues) != n:
+    m, w = vector
+    n = len(matrix)
+    if len(w) != n:
         raise DimensionMismatchError(
-            f"matrix is {n}x{n} but the vector has {len(vector.residues)} entries"
+            f"matrix is {n}x{n} but the vector has {len(w)} entries"
         )
     if not 0 <= init < n:
         raise DimensionMismatchError(f"index {init} out of range for {n} entries")
-    m = vector.modulus
-    w = vector.residues
-    seen = {w: 0}
-    terms = [w[init]]
-    while True:
-        w = matrix.matvec_mod(w, m)
-        if w in seen:
-            r = seen[w]
+    if m < 2:
+        raise AutomatonError(f"modulus {m} must be at least 2")
+    if not all(0 <= x < m for x in w):
+        raise AutomatonError(f"vector entries must be residues mod {m}, got {w}")
+    seen: dict = {}
+    terms = []
+    for w in _iterates(matrix, tuple(w), m):
+        r = seen.get(w)
+        if r is not None:
             return EventuallyPeriodicStream(m, tuple(terms[:r]), tuple(terms[r:]))
         if len(seen) >= cap:
             raise IterationCapError(
@@ -246,18 +224,6 @@ class IntPolynomial:
             raise ArithmeticError("inexact polynomial division")
         return IntPolynomial(tuple(quot))
 
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def mod_coeffs(self, m: int) -> tuple[int, ...]:
-        """Coefficients reduced to canonical residues, trailing zeros stripped."""
-        reduced = [c % m for c in self.coeffs]
-        while reduced and reduced[-1] == 0:
-            reduced.pop()
-        return tuple(reduced)
 
 
 def _as_poly(entry) -> IntPolynomial:

@@ -102,9 +102,9 @@ def abelian_coefficient_bruteforce(
     """
     if labels is None:
         labels = validate_cyclic(g.automaton)
-    vector = abelian_vector(labels, component)
+    m, residues = abelian_vector(labels, component)
     _, states = _level_tables(g, n, max_words, with_images=False)
-    return sum(vector.residues[s] for s in states) % vector.modulus
+    return sum(residues[s] for s in states) % m
 
 
 def conjugate_by(h: InitialAutomaton, g: InitialAutomaton) -> InitialAutomaton:

@@ -1,12 +1,17 @@
 """Named machines and reproducible random corpora shared by the tests."""
 
+import math
 import random
 
 from wreathtree import (
     AbelianLabels,
     InitialAutomaton,
     MealyAutomaton,
+    abelian_vector,
+    coefficient_stream,
+    incidence_matrix,
     is_spherically_transitive,
+    validate_cyclic,
 )
 
 
@@ -41,6 +46,25 @@ def identity_machine(k: int = 2) -> InitialAutomaton:
     return MealyAutomaton(
         k, ("e",), ((0,) * k,), (tuple(range(k)),)
     ).with_initial(0)
+
+
+def second_letter_flip() -> InitialAutomaton:
+    """Binary machine that flips the second letter only; its series is zero."""
+    return MealyAutomaton(
+        2, ("a", "b", "e"), ((1, 1), (2, 2), (2, 2)), ((0, 1), (1, 0), (0, 1))
+    ).with_initial(0)
+
+
+def chain(k: int, length: int) -> InitialAutomaton:
+    """States s0 -> s1 -> ... -> s(length-1) -> z -> z on every letter, all copying.
+
+    With a label only at the last chain state, the series term j is
+    k^j times that label at j = length - 1 and zero elsewhere.
+    """
+    names = tuple(f"s{i}" for i in range(length)) + ("z",)
+    delta = tuple((i + 1,) * k for i in range(length)) + ((length,) * k,)
+    out = (tuple(range(k)),) * (length + 1)
+    return MealyAutomaton(k, names, delta, out).with_initial(0)
 
 
 def cycle_row(k: int, e: int) -> tuple:
@@ -107,3 +131,27 @@ def pad_unreachable(
     )
     padded = MealyAutomaton(m.k, names, delta, out).with_initial(g.initial)
     return padded, AbelianLabels(labels.moduli, rows)
+
+
+def series_reference(f, g, labels_f=None, labels_g=None):
+    """(equal, least witness) of two series, read off their full streams.
+
+    Two eventually periodic streams that agree on the first
+    max(preperiods) + lcm(periods) terms agree forever, so the first
+    difference, if any, lies below that horizon.
+    """
+    labels_f = labels_f or validate_cyclic(f.automaton)
+    labels_g = labels_g or validate_cyclic(g.automaton)
+    witnesses = []
+    for c in range(len(labels_f.moduli)):
+        sf = coefficient_stream(
+            incidence_matrix(f.automaton), abelian_vector(labels_f, c), f.initial
+        )
+        sg = coefficient_stream(
+            incidence_matrix(g.automaton), abelian_vector(labels_g, c), g.initial
+        )
+        horizon = max(len(sf.preperiod), len(sg.preperiod)) + math.lcm(
+            len(sf.period), len(sg.period)
+        )
+        witnesses += [j for j in range(horizon) if sf.term(j) != sg.term(j)][:1]
+    return not witnesses, min(witnesses, default=None)

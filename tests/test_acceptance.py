@@ -31,7 +31,6 @@ from wreathtree import (
     rational_form,
     serialize_automaton,
     series_expand,
-    transitive_k2_fast,
     validate_cyclic,
 )
 from wreathtree.cli import main
@@ -155,6 +154,10 @@ def test_criterion_06_conjugacy_fixtures_and_random_conjugates():
     assert conjugate(odo, corpus.lamp_b()).status is ConjugacyStatus.NOT_CONJUGATE
     assert (
         conjugate(corpus.lamp_a(), corpus.lamp_b()).status
+        is ConjugacyStatus.NOT_CONJUGATE
+    )
+    assert (
+        conjugate(corpus.identity_machine(2), corpus.second_letter_flip()).status
         is ConjugacyStatus.UNDECIDED
     )
     rng = random.Random(SEED + 6)
@@ -168,41 +171,49 @@ def test_criterion_06_conjugacy_fixtures_and_random_conjugates():
 
 
 def test_criterion_07_binary_fast_path_agrees():
+    # over F_2, term - 1 is a linear functional of the iterates of (v, 1),
+    # n + 1 coordinates, so the first n + 2 level sums decide transitivity
     rng = random.Random(SEED + 7)
     for _ in range(220):
         g = corpus.random_invertible(rng, 2, max_states=6)
-        fast = transitive_k2_fast(g)
-        slow = is_spherically_transitive(g)
-        assert fast.transitive == slow.transitive, g
         budget = g.automaton.n_states + 2
-        if fast.transitive:
-            assert len(fast.stream.preperiod) == budget
-        else:
-            assert fast.first_bad_index < budget
-    _report(7, "bounded binary check agreed with cycle detection 220 times")
+        sums = [abelian_coefficient_bruteforce(g, j) for j in range(budget)]
+        verdict = is_spherically_transitive(g)
+        assert verdict.transitive == all(c == 1 for c in sums), g
+        if not verdict.transitive:
+            assert verdict.first_bad_index == sums.index(0) < budget, g
+    _report(7, "n+2 brute-force level sums decided binary transitivity 220 times")
 
 
 def test_criterion_08_prime_equality_shortcut_agrees():
     rng = random.Random(SEED + 8)
     for _ in range(210):
-        k = rng.choice([2, 3, 5, 7])
-        f = corpus.random_cyclic(rng, k, max_states=4)
-        g = corpus.random_cyclic(rng, k, max_states=4)
-        prime = abelianization_equal(f, g, path="prime")
-        generic = abelianization_equal(f, g, path="generic")
-        assert prime == generic, (f, g)
+        k = rng.choice([2, 3, 4, 5, 6, 7, 8, 9])
+        f = corpus.random_cyclic(rng, k, max_states=3 if k > 5 else 4)
+        g = corpus.random_cyclic(rng, k, max_states=3 if k > 5 else 4)
+        assert abelianization_equal(f, g) == corpus.series_reference(f, g), (f, g)
+    for _ in range(40):
+        k = rng.choice([2, 3])
+        f = corpus.random_cyclic(rng, k)
+        g = corpus.random_cyclic(rng, k)
+        moduli = rng.choice([(4,), (6,), (8,), (9,), (12,), (2, 3), (4, 9)])
+        labels_f = corpus.random_labels(rng, f.automaton.n_states, moduli)
+        labels_g = corpus.random_labels(rng, g.automaton.n_states, moduli)
+        assert abelianization_equal(
+            f, g, labels_f, labels_g
+        ) == corpus.series_reference(f, g, labels_f, labels_g), (f, g, moduli)
     for _ in range(40):
         k = rng.choice([2, 3])
         g = corpus.random_cyclic(rng, k)
-        moduli = rng.choice([(2,), (3,), (5,), (7,), (2, 3), (3, 5)])
+        moduli = rng.choice(
+            [(2,), (3,), (5,), (7,), (2, 3), (3, 5), (4,), (6,), (8,), (9,), (12,)]
+        )
         labels = corpus.random_labels(rng, g.automaton.n_states, moduli)
         padded, padded_labels = corpus.pad_unreachable(g, labels, rng)
-        prime = abelianization_equal(g, padded, labels, padded_labels, path="prime")
-        generic = abelianization_equal(
-            g, padded, labels, padded_labels, path="generic"
-        )
-        assert prime == generic == (True, None), (g, moduli)
-    _report(8, "prime shortcut matched generic cycle detection on 250 pairs")
+        bounded = abelianization_equal(g, padded, labels, padded_labels)
+        reference = corpus.series_reference(g, padded, labels, padded_labels)
+        assert bounded == reference == (True, None), (g, moduli)
+    _report(8, "bounded equality matched the full streams on 290 pairs")
 
 
 def test_criterion_09_group_laws_hold():

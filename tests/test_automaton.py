@@ -38,10 +38,9 @@ initial b
 def test_permutation_basics():
     p = Permutation((2, 0, 1))
     assert p(0) == 2 and p(2) == 1
-    assert p.inverse().compose(p).images == (0, 1, 2)
-    assert p.compose(p.inverse()).images == (0, 1, 2)
-    assert Permutation.identity(4).images == (0, 1, 2, 3)
-    assert Permutation.cycle_power(5, 2).images == (2, 3, 4, 0, 1)
+    assert len(p) == 3
+    assert p.inverse().images == (1, 2, 0)
+    assert all(p.inverse()(p(i)) == i == p(p.inverse()(i)) for i in range(3))
 
 
 def test_permutation_rejects_non_bijection():
@@ -49,18 +48,6 @@ def test_permutation_rejects_non_bijection():
         Permutation((0, 0))
     with pytest.raises(ValueError):
         Permutation((0, 2))
-
-
-def test_shift_amount():
-    assert Permutation.cycle_power(6, 4).shift_amount() == 4
-    assert Permutation((0, 2, 1)).shift_amount() is None
-
-
-def test_compose_order_is_right_to_left():
-    # self.compose(other) must apply other first
-    p = Permutation((1, 2, 0))
-    q = Permutation((0, 2, 1))
-    assert p.compose(q).images == tuple(p(q(i)) for i in range(3))
 
 
 # ---------- parsing ----------
@@ -224,6 +211,14 @@ def test_validate_cyclic_identity_k3():
     labels = validate_cyclic(g.automaton)
     assert labels.moduli == (3,)
     assert labels.labels == ((0,),)
+
+
+def test_shift_amount():
+    # every cyclic shift a -> a + e mod k is read back as the label e
+    for k in range(2, 8):
+        for e in range(k):
+            m = MealyAutomaton(k, ("a",), ((0,) * k,), (corpus.cycle_row(k, e),))
+            assert validate_cyclic(m).labels == ((e,),)
 
 
 def test_validate_cyclic_rejects_transposition():

@@ -6,13 +6,16 @@ code.  Output documents are parsed back into dicts for assertions.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import corpus
 import wreathtree
-from wreathtree import parse_automaton, serialize_automaton
+from wreathtree import AbelianLabels, parse_automaton, serialize_automaton
 from wreathtree.cli import main
 
 FIXTURES = Path(wreathtree.__file__).parent / "fixtures"
@@ -125,19 +128,11 @@ def test_transitive_on_a_non_transitive_machine(capsys):
     assert doc["stream.period"] == "[0]"
 
 
-def test_transitive_fast2(capsys):
-    code, out, _ = run(capsys, "transitive", ODOMETER, "--fast2")
-    assert code == 0
-    doc = doc_of(out)
-    assert doc["method"] == "fast2"
-    assert doc["transitive"] == "true"
-    assert doc["stream.preperiod"] == "[1, 1, 1, 1]"
-    assert doc["stream.period"] == "[1]"
-    code, out, _ = run(capsys, "transitive", LAMP_B, "--fast2")
-    assert code == 0
-    doc = doc_of(out)
-    assert doc["transitive"] == "false"
-    assert doc["first_bad_index"] == "2"
+def test_transitive_fast2_is_a_usage_error(capsys):
+    # the binary-only shortcut is gone; the stream is the only method
+    code, out, err = run(capsys, "transitive", ODOMETER, "--fast2")
+    assert code == 1
+    assert out == "" and "--fast2" in err
 
 
 # ------------------------------------------------- coeffs and rational
@@ -201,6 +196,22 @@ def test_equal_ab_on_equal_machines(capsys):
     assert doc["witness"] == "none"
 
 
+def test_equal_ab_on_a_composite_modulus(capsys, tmp_path):
+    f = write_machine(
+        tmp_path, "chain.aut", corpus.chain(3, 3),
+        AbelianLabels((4,), ((0,), (0,), (1,), (0,))),
+    )
+    e = write_machine(
+        tmp_path, "e.aut", corpus.identity_machine(3), AbelianLabels((4,), ((0,),))
+    )
+    code, out, _ = run(capsys, "equal-ab", f, e)
+    assert code == 0
+    doc = doc_of(out)
+    assert doc["equal"] == "false"
+    assert doc["witness"] == "2"
+    assert doc["moduli"] == "[4]"
+
+
 def test_conjugate_verdicts(capsys, tmp_path):
     decr = write_machine(tmp_path, "decr.aut", corpus.decrementer())
     code, out, _ = run(capsys, "conjugate", ODOMETER, decr)
@@ -212,6 +223,13 @@ def test_conjugate_verdicts(capsys, tmp_path):
     assert doc_of(out)["verdict"] == "not_conjugate"
 
     code, out, _ = run(capsys, "conjugate", LAMP_A, LAMP_B)
+    assert code == 0
+    doc = doc_of(out)
+    assert doc["verdict"] == "not_conjugate"
+    assert "index 0" in doc["reason"]
+
+    flip = write_machine(tmp_path, "flip.aut", corpus.second_letter_flip())
+    code, out, _ = run(capsys, "conjugate", IDENTITY, flip)
     assert code == 0
     doc = doc_of(out)
     assert doc["verdict"] == "undecided"
@@ -310,6 +328,18 @@ def test_usage_errors_exit_with_1(capsys):
         assert err != ""
 
 
+def test_negative_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "coeffs", ODOMETER, "--count", "-3")
+    assert code == 1
+    assert out == "" and "--count" in err
+
+
+def test_negative_level_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "orbit", ODOMETER, "--level", "-1")
+    assert code == 1
+    assert out == "" and "--level" in err
+
+
 def test_missing_file_exits_with_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.aut")
     assert code == 2
@@ -330,6 +360,15 @@ def test_bad_files_exit_with_2(capsys, tmp_path, text, exc_name):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert exc_name in err
+
+
+def test_non_utf8_file_exits_with_2(capsys, tmp_path):
+    path = tmp_path / "binary.aut"
+    path.write_bytes(b"alphabet 2\n\xff\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError: ")
 
 
 def test_commands_that_need_an_initial_state_exit_with_2(capsys, tmp_path):
@@ -377,3 +416,20 @@ def test_output_is_byte_stable(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# -------------------------------------------------------- dependencies
+
+
+def test_cli_imports_no_test_time_packages():
+    # numpy, sympy and hypothesis are test-time tools, never runtime imports
+    probe = (
+        "import sys, wreathtree.cli; "
+        "print(sorted({'numpy', 'sympy', 'hypothesis'} & set(sys.modules)))"
+    )
+    src = str(Path(wreathtree.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -10,7 +10,6 @@ from wreathtree import (
     ConjugacyStatus,
     MealyAutomaton,
     ModuliMismatchError,
-    NotBinaryError,
     NotCyclicError,
     abelian_vector,
     abelianization_equal,
@@ -22,7 +21,6 @@ from wreathtree import (
     level_transitive,
     rational_form,
     series_expand,
-    transitive_k2_fast,
     validate_cyclic,
 )
 
@@ -72,6 +70,18 @@ def test_first_bad_index_can_sit_inside_the_period(rng):
         assert verdict.transitive == (expected is None)
 
 
+def test_odometer_on_larger_alphabets_is_transitive():
+    # a: a -> a+1 mod k, carrying on the last letter; e copies
+    for k in (3, 4, 5):
+        delta = (tuple(0 if a == k - 1 else 1 for a in range(k)), (1,) * k)
+        out = (corpus.cycle_row(k, 1), corpus.cycle_row(k, 0))
+        g = MealyAutomaton(k, ("a", "e"), delta, out).with_initial(0)
+        verdict = is_spherically_transitive(g)
+        assert verdict.transitive and verdict.first_bad_index is None
+        for n in range(4):
+            assert level_transitive(g, n).transitive
+
+
 # ---------- level alignment with the simulator ----------
 
 
@@ -83,43 +93,6 @@ def test_stream_units_match_level_orbits(rng):
         for n in range(6):
             closed_form = all(gcd(stream.term(j), k) == 1 for j in range(n))
             assert closed_form == level_transitive(g, n).transitive
-
-
-# ---------- the binary shortcut ----------
-
-
-def test_fast2_odometer(odometer):
-    verdict = transitive_k2_fast(odometer)
-    assert verdict.transitive
-    # exactly n+2 checked terms are reported, the tail is all ones
-    assert verdict.stream.preperiod == (1, 1, 1, 1)
-    assert verdict.stream.period == (1,)
-
-
-def test_fast2_lamplighter(lamp_b):
-    verdict = transitive_k2_fast(lamp_b)
-    assert not verdict.transitive
-    assert verdict.first_bad_index == 2
-    assert verdict.stream.term(2) == 0
-
-
-def test_fast2_rejects_other_alphabets():
-    with pytest.raises(NotBinaryError):
-        transitive_k2_fast(corpus.identity_machine(3))
-
-
-def test_fast2_agrees_with_the_stream(rng):
-    for _ in range(150):
-        g = corpus.random_cyclic(rng, 2, max_states=6)
-        fast = transitive_k2_fast(g)
-        slow = is_spherically_transitive(g)
-        assert fast.transitive == slow.transitive
-        assert fast.first_bad_index == slow.first_bad_index
-        n = g.automaton.n_states
-        if fast.transitive:
-            assert len(fast.stream.preperiod) == n + 2
-        else:
-            assert fast.first_bad_index <= n + 1
 
 
 # ---------- abelianization equality ----------
@@ -197,22 +170,44 @@ def test_multi_component_labels_checked_independently():
 
 
 def test_prime_path_agrees_with_generic(rng):
+    # the bounded loop against the first difference of the two full streams
+    for _ in range(160):
+        k = rng.choice([2, 3])
+        m = rng.choice([2, 3, 4, 5, 6, 7, 8, 9, 12])
+        f = corpus.random_cyclic(rng, k)
+        labels_f = corpus.random_labels(rng, f.automaton.n_states, (m,))
+        if rng.random() < 0.5:
+            g, labels_g = corpus.pad_unreachable(f, labels_f, rng)
+        else:
+            g = corpus.random_cyclic(rng, k)
+            labels_g = corpus.random_labels(rng, g.automaton.n_states, (m,))
+        expected = corpus.series_reference(f, g, labels_f, labels_g)
+        assert abelianization_equal(f, g, labels_f, labels_g) == expected
+
+
+def test_equality_witness_is_below_the_stacked_dimension(rng):
     for _ in range(120):
         k = rng.choice([2, 3])
-        m = rng.choice([2, 3, 5, 7])
+        m = rng.choice([2, 4, 6, 8, 9, 12])
         f = corpus.random_cyclic(rng, k)
         g = corpus.random_cyclic(rng, k)
         labels_f = corpus.random_labels(rng, f.automaton.n_states, (m,))
         labels_g = corpus.random_labels(rng, g.automaton.n_states, (m,))
-        fast = abelianization_equal(f, g, labels_f, labels_g, path="prime")
-        slow = abelianization_equal(f, g, labels_f, labels_g, path="generic")
-        assert fast == slow
+        equal, witness = abelianization_equal(f, g, labels_f, labels_g)
+        assert equal == (witness is None)
+        if not equal:
+            assert witness < f.automaton.n_states + g.automaton.n_states
 
 
-def test_prime_path_rejects_composite_modulus(odometer):
-    labels = AbelianLabels((4,), ((1,), (0,)))
-    with pytest.raises(ValueError):
-        abelianization_equal(odometer, odometer, labels, labels, path="prime")
+def test_equality_finds_a_witness_deep_in_a_chain():
+    # the chain's series is 3^(L-1) at index L-1 and zero elsewhere
+    e = corpus.identity_machine(3)
+    for m in (2, 4, 5, 8):
+        zero = AbelianLabels((m,), ((0,),))
+        for length in range(1, 7):
+            f = corpus.chain(3, length)
+            labels = AbelianLabels((m,), ((0,),) * (length - 1) + ((1,), (0,)))
+            assert abelianization_equal(f, e, labels, zero) == (False, length - 1)
 
 
 def test_equality_guards(odometer):
@@ -231,10 +226,34 @@ def test_conjugacy_fixture_verdicts(odometer, lamp_a, lamp_b):
     assert both.status is ConjugacyStatus.CONJUGATE
     one = conjugate(odometer, lamp_b)
     assert one.status is ConjugacyStatus.NOT_CONJUGATE
-    neither = conjugate(lamp_a, lamp_b)
+    differ = conjugate(lamp_a, lamp_b)
+    assert differ.status is ConjugacyStatus.NOT_CONJUGATE
+    assert "index 0" in differ.reason
+    neither = conjugate(corpus.identity_machine(2), corpus.second_letter_flip())
     assert neither.status is ConjugacyStatus.UNDECIDED
-    for verdict in (both, one, neither):
+    for verdict in (both, one, differ, neither):
         assert verdict.reason
+
+
+def test_conjugate_checks_the_series_first(rng):
+    for _ in range(60):
+        k = rng.choice([2, 3])
+        f = corpus.random_cyclic(rng, k, max_states=3)
+        if rng.random() < 0.5:
+            g, _ = corpus.pad_unreachable(f, validate_cyclic(f.automaton), rng)
+        else:
+            g = corpus.random_cyclic(rng, k, max_states=3)
+        equal, witness = abelianization_equal(f, g)
+        verdict = conjugate(f, g)
+        if not equal:
+            assert verdict.status is ConjugacyStatus.NOT_CONJUGATE
+            assert verdict.reason.endswith(f"at index {witness}")
+            continue
+        transitive = is_spherically_transitive(f).transitive
+        # equal series imply equal transitivity
+        assert is_spherically_transitive(g).transitive == transitive
+        expected = ConjugacyStatus.CONJUGATE if transitive else ConjugacyStatus.UNDECIDED
+        assert verdict.status is expected
 
 
 def test_transitive_elements_with_distinct_series_are_not_conjugate():
