@@ -44,13 +44,11 @@ from .modmath import (
     DEFAULT_VISIT_CAP,
     DimensionMismatchError,
     EventuallyPeriodicStream,
-    IntPolynomial,
     IterationCapError,
     NonUnitConstantTermError,
     RationalSeries,
     abelian_vector,
     coefficient_stream,
-    det_poly,
     incidence_matrix,
     series_expand,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "DimensionMismatchError",
     "EventuallyPeriodicStream",
     "InitialAutomaton",
-    "IntPolynomial",
     "IterationCapError",
     "LevelOrbitReport",
     "LevelTooLargeError",
@@ -101,7 +98,6 @@ __all__ = [
     "coefficient_stream",
     "conjugate",
     "conjugate_by",
-    "det_poly",
     "format_word",
     "incidence_matrix",
     "is_spherically_transitive",

@@ -291,12 +291,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("coeffs", help="print abelianization series coefficients")
     p.add_argument("file")
     p.add_argument("--count", type=_count, required=True, help="how many terms")
-    p.add_argument("--component", type=int, default=0, help="label component index")
+    p.add_argument("--component", type=_count, default=0, help="label component index")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("rational", help="print the series as a rational function mod m")
     p.add_argument("file")
-    p.add_argument("--component", type=int, default=0, help="label component index")
+    p.add_argument("--component", type=_count, default=0, help="label component index")
     p.set_defaults(func=_cmd_rational)
 
     p = sub.add_parser("equal-ab", help="compare the abelianization series of two machines")

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
+from operator import mul
 
 from .automaton import (
     AbelianLabels,
     AlphabetMismatchError,
     AutomatonError,
-    BadComponentError,
     InitialAutomaton,
     validate_cyclic,
 )
@@ -34,13 +35,12 @@ from .modmath import (
     DEFAULT_VISIT_CAP,
     DimensionMismatchError,
     EventuallyPeriodicStream,
-    IntPolynomial,
     RationalSeries,
     _iterates,
     _rows,
     abelian_vector,
+    char_poly_mod,
     coefficient_stream,
-    det_poly,
     incidence_matrix,
 )
 
@@ -199,29 +199,22 @@ def rational_form(
 ) -> RationalSeries:
     """The abelianization series as a quotient of polynomials mod m.
 
-    The stream satisfies the linear recurrence of the incidence matrix,
-    so the series equals the ``init`` coordinate of (I - At)^-1 v.  By
-    Cramer's rule that is a quotient of two determinants, both computed
-    exactly over Z[t] and only then reduced mod m: the denominator is
-    det(I - At), the numerator replaces column ``init`` with the labels
-    lifted to their canonical integer representatives.
+    The series S is the ``init`` coordinate of (I - At)^-1 v for the
+    incidence matrix A and the labels v, so by Cramer's rule it is N/D
+    with D = det(I - At) and N the same determinant with column
+    ``init`` replaced by v.  D is the characteristic polynomial of A
+    read backwards, computed mod m by the division-free
+    Samuelson-Berkowitz recursion (``char_poly_mod``).  Column ``init``
+    of N's matrix is constant and the others have degree at most 1, so
+    N has degree at most n - 1; and N = D S exactly over Z.  Hence
+    N = D S mod t^n, built from the first n stream terms, and reducing
+    mod m commutes with both steps: the pair is the two Z[t]
+    determinants reduced mod m, with no big integers on the way.
     """
-    labels = _labels_for(g, labels)
-    if not 0 <= component < len(labels.moduli):
-        raise BadComponentError(
-            f"component {component} out of range, labels have {len(labels.moduli)}"
-        )
-    m = labels.moduli[component]
-    n = g.automaton.n_states
-    char = []
-    for i, row in enumerate(g.automaton.delta):
-        counts = [0] * n
-        for s in row:
-            counts[s] += 1
-        char.append([IntPolynomial((int(i == j), -counts[j])) for j in range(n)])
-    denominator = det_poly(char)
-    lifted = [row[component] for row in labels.labels]
-    for i in range(n):
-        char[i][g.initial] = IntPolynomial.constant(lifted[i])
-    numerator = det_poly(char)
-    return RationalSeries(m, numerator.coeffs, denominator.coeffs)
+    m, v = abelian_vector(_labels_for(g, labels), component)
+    delta = g.automaton.delta
+    n = len(delta)
+    denominator = char_poly_mod(delta, m)
+    terms = [w[g.initial] for w in islice(_iterates(_rows(delta), v, m), n)]
+    numerator = [sum(map(mul, denominator[j::-1], terms)) % m for j in range(n)]
+    return RationalSeries(m, numerator, denominator)

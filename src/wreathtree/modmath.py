@@ -3,8 +3,9 @@
 Everything here is integer arithmetic: residue vectors mod m, the
 state-transition incidence matrix of an automaton, eventually periodic
 coefficient streams found by remembering every visited vector, and
-fraction-free determinants of matrices over Z[t].  No floating point
-appears anywhere.
+the characteristic polynomial of the incidence matrix mod m, by a
+recursion that never divides.  No floating point and no big integers
+appear anywhere.
 
 One kernel computes w -> A w mod m for the incidence matrix A, and it
 never builds A: row q of A counts the successors of state q, so
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .automaton import AbelianLabels, AutomatonError, BadComponentError, MealyAutomaton
 
@@ -146,126 +147,37 @@ def coefficient_stream(
         terms.append(w[init])
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Polynomial with integer coefficients, lowest degree first.
+def char_poly_mod(delta, m: int) -> list[int]:
+    """det(I - A t) mod m, ascending, for the incidence matrix A of ``delta``.
 
-    The representation is canonical: trailing zero coefficients are
-    stripped and the zero polynomial is the empty tuple.
+    Read highest degree first, the same list is det(x I - A), the
+    characteristic polynomial.  It is built by the Samuelson-Berkowitz
+    recursion over the trailing principal blocks B_i = A[i:, i:], for
+    i = n - 1 down to 0.  B_i splits into the corner a = A[i][i], the
+    row R and the column C beside it, and B_{i+1}; then the coefficients
+    of det(x I - B_i), highest degree first, are T_i times those of
+    B_{i+1}, where T_i is lower-triangular Toeplitz with first column
+    (1, -a, -R C, -R B_{i+1} C, ..., -R B_{i+1}^(n-i-2) C).
+    The products B_{i+1}^j C are read off the transition table, so a
+    block costs O(k (n - i)^2) and the whole recursion O(k n^3).  It
+    only adds and multiplies, so it is exact over Z/m for every m.
     """
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return IntPolynomial(tuple(prod))
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient in Z[t]; raises ArithmeticError if not exact."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return IntPolynomial()
-        rem = list(self.coeffs)
-        width = len(other.coeffs)
-        if len(rem) < width:
-            raise ArithmeticError("inexact polynomial division")
-        lead = other.coeffs[-1]
-        quot = [0] * (len(rem) - width + 1)
-        for shift in range(len(rem) - width, -1, -1):
-            c = rem[shift + width - 1]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r != 0:
-                raise ArithmeticError("inexact polynomial division")
-            quot[shift] = q
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] -= q * oc
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return IntPolynomial(tuple(quot))
-
-
-
-def _as_poly(entry) -> IntPolynomial:
-    if isinstance(entry, IntPolynomial):
-        return entry
-    if isinstance(entry, int):
-        return IntPolynomial.constant(entry)
-    raise TypeError(f"matrix entries must be integers or IntPolynomial, got {entry!r}")
-
-
-def det_poly(matrix) -> IntPolynomial:
-    """Determinant of a square matrix over Z[t].
-
-    Fraction-free elimination: at every step the two-by-two cross
-    product is divided by the previous pivot, and that division is
-    exact in Z[t], so no rational arithmetic is needed.  Row swaps flip
-    the sign; a column with no pivot means the determinant is zero.
-    """
-    rows = [[_as_poly(e) for e in row] for row in matrix]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise DimensionMismatchError("determinant needs a square matrix")
-    if n == 0:
-        return IntPolynomial.constant(1)
-    sign = 1
-    prev = IntPolynomial.constant(1)
-    for c in range(n - 1):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
-            return IntPolynomial()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                cross = rows[r][j] * rows[c][c] - rows[r][c] * rows[c][j]
-                rows[r][j] = cross.exact_div(prev)
-            rows[r][c] = IntPolynomial()
-        prev = rows[c][c]
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    n = len(delta)
+    rows = _rows(delta)
+    p = [1]
+    for i in range(n - 1, -1, -1):
+        # C as a length-n vector that is zero at states <= i, so a sum over
+        # all successors of a state is a sum over those beyond i only
+        zeros, tail = [0] * (i + 1), rows[i + 1:]
+        v = zeros + [row.count(i) for row in delta[i + 1:]]
+        col = [1, -delta[i].count(i) % m]
+        for j in range(n - i - 1):
+            if j:
+                v = zeros + [sum(row(v)) % m for row in tail]
+            col.append(-sum(rows[i](v)) % m)
+        # T_i p: coefficient r is the sum of col[r - j] * p[j]
+        p = [sum(map(mul, col[r::-1], p)) % m for r in range(len(p) + 1)]
+    return p
 
 
 def _strip_mod(coeffs, m: int) -> tuple[int, ...]:

@@ -71,9 +71,11 @@ def cycle_row(k: int, e: int) -> tuple:
     return tuple((i + e) % k for i in range(k))
 
 
-def random_cyclic(rng: random.Random, k: int, max_states: int = 4) -> InitialAutomaton:
+def random_cyclic(
+    rng: random.Random, k: int, max_states: int = 4, min_states: int = 1
+) -> InitialAutomaton:
     """Random machine whose output rows are all powers of the k-cycle."""
-    n = rng.randint(1, max_states)
+    n = rng.randint(min_states, max_states)
     delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
     out = tuple(cycle_row(k, rng.randrange(k)) for _ in range(n))
     names = tuple(f"q{i}" for i in range(n))

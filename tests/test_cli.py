@@ -334,6 +334,13 @@ def test_negative_count_is_a_usage_error(capsys):
     assert out == "" and "--count" in err
 
 
+def test_negative_component_is_a_usage_error(capsys):
+    for command in (["coeffs", ODOMETER, "--count", "3"], ["rational", ODOMETER]):
+        code, out, err = run(capsys, *command, "--component", "-1")
+        assert code == 1, command
+        assert out == "" and "--component" in err
+
+
 def test_negative_level_is_a_usage_error(capsys):
     code, out, err = run(capsys, "orbit", ODOMETER, "--level", "-1")
     assert code == 1

@@ -1,8 +1,10 @@
+import random
 from math import gcd
 
 import pytest
 
 import corpus
+import polyref
 from wreathtree import (
     AbelianLabels,
     AlphabetMismatchError,
@@ -345,3 +347,40 @@ def test_rational_form_denominator_has_unit_constant_term(rng):
         g = corpus.random_cyclic(rng, k)
         series = rational_form(g)
         assert series.denominator[0] % series.modulus == 1
+
+
+def test_rational_form_equals_the_cramer_pair(rng):
+    # the printed pair is the two Z[t] determinants of Cramer's rule reduced
+    # mod m, byte for byte; every third machine has up to 12 states and the
+    # rest up to 6, because the reference is slow
+    sizes = set()
+    for trial in range(2016):
+        k = 2 + trial % 8
+        n = rng.randint(1, 12 if trial % 3 == 0 else 6)
+        sizes.add(n)
+        g = corpus.random_cyclic(rng, k, max_states=n, min_states=n)
+        if trial % 2:
+            moduli = tuple(rng.randint(2, 30) for _ in range(rng.randint(1, 3)))
+            labels = corpus.random_labels(rng, n, moduli)
+        else:
+            labels = validate_cyclic(g.automaton)
+        if trial % 7 == 0:
+            g, labels = corpus.pad_unreachable(g, labels, rng)
+        want = polyref.cramer_pairs(g, labels)
+        for component, pair in enumerate(want):
+            assert rational_form(g, labels, component) == pair, (g, labels, component)
+    assert sizes == set(range(1, 13))
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_rational_form_on_large_machines(n):
+    # too large for the Z[t] reference, and their streams are far too long
+    # to close, so the terms come from dense matrix powers
+    g = corpus.random_cyclic(random.Random(n), 3, max_states=n, min_states=n)
+    dense = [[row.count(s) for s in range(n)] for row in g.automaton.delta]
+    w = [label[0] for label in validate_cyclic(g.automaton).labels]
+    terms = []
+    for _ in range(2 * n):
+        terms.append(w[g.initial])
+        w = [sum(a * x for a, x in zip(row, w)) % 3 for row in dense]
+    assert series_expand(rational_form(g), 2 * n) == terms
