@@ -21,7 +21,6 @@ from .automaton import (
     MissingInitialError,
     NotCyclicError,
     ParseError,
-    Permutation,
     UnknownStateError,
     format_word,
     parse_automaton,
@@ -88,7 +87,6 @@ __all__ = [
     "NonUnitConstantTermError",
     "NotCyclicError",
     "ParseError",
-    "Permutation",
     "RationalSeries",
     "TransitivityVerdict",
     "UnknownStateError",

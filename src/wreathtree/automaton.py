@@ -4,10 +4,10 @@ An automaton has finitely many states, the alphabet {0, ..., k-1}, a
 transition table and, for every state, an output row.  A state rewrites
 a word letter by letter: it pushes the first letter through its output
 row and hands the remaining letters to the successor state given by the
-transition table.  When every output row is a permutation, a state
-therefore computes an automorphism of the rooted k-ary tree whose
-vertices are the finite words over the alphabet; sections of that
-automorphism at vertices are again states of the same machine.
+transition table.  Every output row is a permutation, so a state
+computes an automorphism of the rooted k-ary tree whose vertices are
+the finite words over the alphabet; sections of that automorphism at
+vertices are again states of the same machine.
 
 The module also defines the text format used to store automata on disk
 and per-state labels in a product of finite cyclic groups, which the
@@ -89,39 +89,14 @@ class BadComponentError(AutomatonError):
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0, ..., k-1} in one-line notation."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"{images} is not a permutation of 0..{len(images) - 1}")
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-
-@dataclass(frozen=True)
 class MealyAutomaton:
     """A finite Mealy automaton over the alphabet {0, ..., k-1}.
 
     States are kept in declaration order; ``delta[q][a]`` is the state
     entered after reading symbol ``a`` in state ``q`` and ``out[q][a]``
-    the symbol written.  Output rows are stored raw so that tables that
-    fail to be invertible remain representable; ``validate`` rejects
-    them, as does every operation that needs an inverse.
+    the symbol written.  Every output row is a permutation of the
+    alphabet, which the constructor checks, so every machine computes
+    tree automorphisms and has an inverse.
     """
 
     k: int
@@ -145,20 +120,21 @@ class MealyAutomaton:
                 raise AutomatonError(f"bad state name {name!r}")
         if len(self.delta) != n or len(self.out) != n:
             raise AutomatonError("delta and out need one row per state")
-        for q in range(n):
-            if len(self.delta[q]) != self.k or len(self.out[q]) != self.k:
+        for q, (drow, orow) in enumerate(zip(self.delta, self.out)):
+            if len(drow) != self.k or len(orow) != self.k:
                 raise AutomatonError(
                     f"rows of state '{self.names[q]}' must have {self.k} entries"
                 )
-            for a in range(self.k):
-                if not 0 <= self.delta[q][a] < n:
+            for a, t in enumerate(drow):
+                if not 0 <= t < n:
                     raise AutomatonError(
                         f"transition of state '{self.names[q]}' at {a} is out of range"
                     )
-                if not 0 <= self.out[q][a] < self.k:
-                    raise AutomatonError(
-                        f"output symbol of state '{self.names[q]}' at {a} is out of range"
-                    )
+        alphabet = list(range(self.k))
+        bad = {row for row in set(self.out) if sorted(row) != alphabet}
+        if bad:
+            q = next(q for q, row in enumerate(self.out) if row in bad)
+            raise BadPermutationError(self.names[q], self.out[q])
 
     @property
     def n_states(self) -> int:
@@ -169,24 +145,6 @@ class MealyAutomaton:
             return self.names.index(name)
         except ValueError:
             raise UnknownStateError(name) from None
-
-    def out_perm(self, q: int) -> Permutation:
-        try:
-            return Permutation(self.out[q])
-        except ValueError:
-            raise BadPermutationError(self.names[q], self.out[q]) from None
-
-    def validate(self) -> None:
-        """Check invertibility: every output row must be a bijection."""
-        for q in range(self.n_states):
-            self.out_perm(q)
-
-    def is_invertible(self) -> bool:
-        try:
-            self.validate()
-        except BadPermutationError:
-            return False
-        return True
 
     def with_initial(self, state: int | str) -> "InitialAutomaton":
         if isinstance(state, str):
@@ -242,25 +200,28 @@ def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
 def parse_word(text: str, k: int) -> tuple[int, ...]:
     """Read a word over {0, ..., k-1} from its text form.
 
-    For k <= 10 a word is a string of digits; larger alphabets use
-    comma-separated integers.  The empty string is the empty word.
+    For k <= 10 a word is a string of ASCII digits; larger alphabets use
+    comma-separated integers in ASCII digits.  The empty string is the
+    empty word.
     """
     if k <= 10:
+        digits = "0123456789"[:k]
         symbols = []
         for i, ch in enumerate(text):
-            if not ch.isdigit() or int(ch) >= k:
+            s = digits.find(ch)
+            if s < 0:
                 raise BadSymbolError(i, ch)
-            symbols.append(int(ch))
+            symbols.append(s)
         return tuple(symbols)
     if not text.strip():
         return ()
     symbols = []
     for i, tok in enumerate(text.split(",")):
-        try:
-            s = int(tok.strip())
-        except ValueError:
-            raise BadSymbolError(i, tok.strip()) from None
-        if not 0 <= s < k:
+        tok = tok.strip()
+        if not (tok.isascii() and tok.isdigit()):
+            raise BadSymbolError(i, tok)
+        s = int(tok)
+        if s >= k:
             raise BadSymbolError(i, s)
         symbols.append(s)
     return tuple(symbols)
@@ -377,13 +338,13 @@ class InitialAutomaton:
         the inverse of the original successor at a.
         """
         m = self.automaton
-        m.validate()
         delta = []
         out = []
-        for q in range(m.n_states):
-            inv = m.out_perm(q).inverse()
-            out.append(inv.images)
-            delta.append(tuple(m.delta[q][inv(b)] for b in range(m.k)))
+        for drow, orow in zip(m.delta, m.out):
+            # the symbols sorted by what they are written as: inv[b] writes b
+            inv = tuple(sorted(range(m.k), key=orow.__getitem__))
+            out.append(inv)
+            delta.append(tuple([drow[a] for a in inv]))
         inverted = MealyAutomaton(m.k, m.names, tuple(delta), tuple(out))
         return InitialAutomaton(inverted, self.initial)
 
@@ -546,8 +507,6 @@ def parse_automaton(text: str) -> AutomatonFile:
                 raise ParseError(f"duplicate state '{name}'", lineno)
             seen[name] = len(state_rows)
             row = tuple(_int_token(t, lineno) for t in toks[3 : 3 + k])
-            if sorted(row) != list(range(k)):
-                raise BadPermutationError(name, row)
             targets = tuple(toks[4 + k : 4 + 2 * k])
             state_rows.append((name, row, targets, lineno))
         elif head == "initial":

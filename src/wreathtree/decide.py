@@ -33,7 +33,6 @@ from .automaton import (
 )
 from .modmath import (
     DEFAULT_VISIT_CAP,
-    DimensionMismatchError,
     EventuallyPeriodicStream,
     RationalSeries,
     _iterates,
@@ -42,6 +41,7 @@ from .modmath import (
     char_poly_mod,
     coefficient_stream,
     incidence_matrix,
+    labels_or_shifts,
 )
 
 
@@ -81,16 +81,6 @@ def _first_non_unit(stream: EventuallyPeriodicStream) -> int | None:
         if gcd(c, stream.modulus) != 1:
             return j
     return None
-
-
-def _labels_for(g: InitialAutomaton, labels: AbelianLabels | None) -> AbelianLabels:
-    if labels is None:
-        return validate_cyclic(g.automaton)
-    if len(labels.labels) != g.automaton.n_states:
-        raise DimensionMismatchError(
-            f"{len(labels.labels)} label rows for {g.automaton.n_states} states"
-        )
-    return labels
 
 
 def is_spherically_transitive(
@@ -137,8 +127,8 @@ def abelianization_equal(
     """
     if f.k != g.k:
         raise AlphabetMismatchError(f"alphabet sizes differ: {f.k} != {g.k}")
-    labels_f = _labels_for(f, labels_f)
-    labels_g = _labels_for(g, labels_g)
+    labels_f = labels_or_shifts(f.automaton, labels_f)
+    labels_g = labels_or_shifts(g.automaton, labels_g)
     if labels_f.moduli != labels_g.moduli:
         raise ModuliMismatchError(
             f"label moduli differ: {labels_f.moduli} != {labels_g.moduli}"
@@ -211,7 +201,7 @@ def rational_form(
     mod m commutes with both steps: the pair is the two Z[t]
     determinants reduced mod m, with no big integers on the way.
     """
-    m, v = abelian_vector(_labels_for(g, labels), component)
+    m, v = abelian_vector(labels_or_shifts(g.automaton, labels), component)
     delta = g.automaton.delta
     n = len(delta)
     denominator = char_poly_mod(delta, m)

@@ -32,7 +32,13 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter, mul
 
-from .automaton import AbelianLabels, AutomatonError, BadComponentError, MealyAutomaton
+from .automaton import (
+    AbelianLabels,
+    AutomatonError,
+    BadComponentError,
+    MealyAutomaton,
+    validate_cyclic,
+)
 
 DEFAULT_VISIT_CAP = 10_000_000
 
@@ -96,6 +102,17 @@ def incidence_matrix(m: MealyAutomaton) -> tuple:
     r applied to a vector is the sum of its entries at r's successors.
     """
     return _rows(m.delta)
+
+
+def labels_or_shifts(m: MealyAutomaton, labels: AbelianLabels | None) -> AbelianLabels:
+    """The given labels, one row per state, or else the cyclic shifts of m."""
+    if labels is None:
+        return validate_cyclic(m)
+    if len(labels.labels) != m.n_states:
+        raise DimensionMismatchError(
+            f"{len(labels.labels)} label rows for {m.n_states} states"
+        )
+    return labels
 
 
 def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[int, ...]]:

@@ -14,9 +14,8 @@ from .automaton import (
     AlphabetMismatchError,
     AutomatonError,
     InitialAutomaton,
-    validate_cyclic,
 )
-from .modmath import abelian_vector
+from .modmath import abelian_vector, labels_or_shifts
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -37,7 +36,9 @@ def _level_tables(g: InitialAutomaton, n: int, max_words: int, with_images: bool
     """Images and section states for all k^n words, in lexicographic order.
 
     Words are their base-k indices; level j+1 tables come from level j
-    by appending one symbol, so the whole run costs O(k^n).
+    by appending one symbol, so the whole run costs O(k^n).  The image
+    of word u followed by a is img[u] followed by out[s][a], where s is
+    the state reached at u, so each output row is read whole.
     """
     k = g.k
     if k**n > max_words:
@@ -49,12 +50,8 @@ def _level_tables(g: InitialAutomaton, n: int, max_words: int, with_images: bool
     states = [g.initial]
     for _ in range(n):
         if with_images:
-            img = [
-                img[u] * k + out[states[u]][a]
-                for u in range(len(states))
-                for a in range(k)
-            ]
-        states = [delta[s][a] for s in states for a in range(k)]
+            img = [i * k + b for i, s in zip(img, states) for b in out[s]]
+        states = [t for s in states for t in delta[s]]
     return img, states
 
 
@@ -63,29 +60,26 @@ def level_transitive(
 ) -> LevelOrbitReport:
     """Orbit structure of g on the k^n words of length n.
 
-    Builds the explicit permutation of the level and merges each index
-    with its image through a union-find, so the orbit count and the
-    largest orbit come out of one linear pass.
+    Builds the explicit permutation of the level; every output row is a
+    permutation, so the level map is one too and its orbits are its
+    cycles.  Walking each cycle once from its least unvisited word
+    gives the orbit count and the largest orbit in one linear pass.
     """
     img, _ = _level_tables(g, n, max_words, with_images=True)
-    size = len(img)
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in enumerate(img):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    sizes: dict[int, int] = {}
-    for i in range(size):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return LevelOrbitReport(n, len(sizes), max(sizes.values()), len(sizes) == 1)
+    seen = bytearray(len(img))
+    count = largest = 0
+    start = seen.find(0)
+    while start >= 0:
+        size = 0
+        j = start
+        while not seen[j]:
+            seen[j] = 1
+            j = img[j]
+            size += 1
+        count += 1
+        largest = max(largest, size)
+        start = seen.find(0, start + 1)
+    return LevelOrbitReport(n, count, largest, count == 1)
 
 
 def abelian_coefficient_bruteforce(
@@ -100,9 +94,7 @@ def abelian_coefficient_bruteforce(
     Walks the transition table to every word of the level and adds up
     the chosen label component of the states reached there.
     """
-    if labels is None:
-        labels = validate_cyclic(g.automaton)
-    m, residues = abelian_vector(labels, component)
+    m, residues = abelian_vector(labels_or_shifts(g.automaton, labels), component)
     _, states = _level_tables(g, n, max_words, with_images=False)
     return sum(residues[s] for s in states) % m
 

@@ -14,7 +14,6 @@ from wreathtree import (
     MissingInitialError,
     NotCyclicError,
     ParseError,
-    Permutation,
     UnknownStateError,
     format_word,
     parse_automaton,
@@ -30,24 +29,6 @@ state a perm 0 1 to a b
 state b perm 1 0 to a b
 initial b
 """
-
-
-# ---------- permutations ----------
-
-
-def test_permutation_basics():
-    p = Permutation((2, 0, 1))
-    assert p(0) == 2 and p(2) == 1
-    assert len(p) == 3
-    assert p.inverse().images == (1, 2, 0)
-    assert all(p.inverse()(p(i)) == i == p(p.inverse()(i)) for i in range(3))
-
-
-def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((0, 0))
-    with pytest.raises(ValueError):
-        Permutation((0, 2))
 
 
 # ---------- parsing ----------
@@ -255,6 +236,22 @@ def test_parse_word_large_alphabet():
     assert format_word((10, 0), 12) == "10,0"
 
 
+def test_parse_word_rejects_superscript_digits():
+    # "²".isdigit() holds but int("²") fails
+    with pytest.raises(BadSymbolError) as err:
+        parse_word("1\u00b2", 2)
+    assert err.value.position == 1
+
+
+def test_parse_word_rejects_non_ascii_digits():
+    # int("\u0661") is 1: an Arabic-Indic one must not read as a symbol
+    with pytest.raises(BadSymbolError) as err:
+        parse_word("1\u0661", 2)
+    assert err.value.position == 1
+    with pytest.raises(BadSymbolError):
+        parse_word("1,\u0661", 12)
+
+
 # ---------- the tree action ----------
 
 
@@ -345,18 +342,20 @@ def test_inverse_round_trips_words(rng):
 
 
 def test_inverse_requires_invertibility():
-    broken = MealyAutomaton(2, ("a",), ((0, 0),), ((0, 0),))
-    with pytest.raises(BadPermutationError):
-        broken.with_initial(0).inverse()
+    # every machine is invertible: the constructor rejects other rows
+    for row in ((0, 0), (0, 5)):
+        with pytest.raises(BadPermutationError) as err:
+            MealyAutomaton(2, ("a",), ((0, 0),), (row,))
+        assert err.value.state == "a"
+        assert str(row) in str(err.value)
 
 
-def test_non_invertible_machine_is_representable():
-    broken = MealyAutomaton(2, ("a",), ((0, 0),), ((1, 1),))
-    assert not broken.is_invertible()
-    with pytest.raises(BadPermutationError):
-        broken.validate()
-    # the action on words is still defined
-    assert broken.with_initial(0).apply("00") == "11"
+def test_constructor_names_the_first_bad_state():
+    delta = ((0, 0),) * 4
+    out = ((0, 1), (1, 1), (0, 1), (0, 0))
+    with pytest.raises(BadPermutationError) as err:
+        MealyAutomaton(2, ("a", "b", "c", "d"), delta, out)
+    assert err.value.state == "b"
 
 
 # ---------- composition ----------
@@ -518,7 +517,7 @@ def test_mealy_constructor_rejects_bad_shapes():
 
 
 @st.composite
-def machine_and_words(draw, invertible=True):
+def machine_and_words(draw):
     k = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(1, 4))
     delta = tuple(

@@ -403,9 +403,11 @@ def test_mismatched_alphabets_exit_with_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_bad_word_symbol_exits_with_2(capsys):
-    code, _, err = run(capsys, "apply", ODOMETER, "--word", "102")
-    assert code == 2
+# a superscript two and an Arabic-Indic one are digits, but not symbols
+@pytest.mark.parametrize("word", ["102", "1\u00b2", "1\u0661"])
+def test_bad_word_symbol_exits_with_2(capsys, word):
+    code, out, err = run(capsys, "apply", ODOMETER, "--word", word)
+    assert (code, out) == (2, "")
     assert "BadSymbolError" in err
 
 

@@ -14,6 +14,7 @@ from wreathtree import (
     AbelianLabels,
     AlphabetMismatchError,
     BadComponentError,
+    DimensionMismatchError,
     LevelOrbitReport,
     LevelTooLargeError,
     MealyAutomaton,
@@ -24,7 +25,7 @@ from wreathtree import (
     conjugate_by,
     incidence_matrix,
     level_transitive,
-    validate_cyclic,
+    rational_form,
 )
 
 
@@ -77,16 +78,20 @@ def test_level_zero_is_always_a_single_orbit(lamp_a):
 
 
 def test_orbit_report_agrees_with_apply_recount(rng):
-    for _ in range(40):
-        k = rng.choice([2, 3])
+    unequal = 0
+    for _ in range(60):
+        k = rng.choice([2, 3, 4])
         g = corpus.random_invertible(rng, k, max_states=3)
-        n = rng.randint(0, 4)
+        n = rng.randint(0, 5)
         sizes = _orbit_sizes_by_apply(g, n)
         report = level_transitive(g, n)
         assert sum(sizes) == k**n
         assert report.orbit_count == len(sizes)
         assert report.max_orbit == sizes[-1]
         assert report.transitive == (len(sizes) == 1)
+        unequal += sizes[0] != sizes[-1]
+    # levels split into cycles of different lengths are among the cases
+    assert unequal >= 10
 
 
 def test_word_cap_is_enforced(odometer):
@@ -143,6 +148,17 @@ def test_bruteforce_rejects_bad_label_requests():
     labels = AbelianLabels((2,), (((1,),)))
     with pytest.raises(BadComponentError):
         abelian_coefficient_bruteforce(m, 1, labels, component=1)
+
+
+def test_bruteforce_rejects_labels_for_another_state_count(lamp_a):
+    # lamplighter has 2 states; three label rows or one are a mismatch,
+    # as they are for the closed form
+    for rows in (((1,), (0,), (1,)), ((1,),)):
+        labels = AbelianLabels((2,), rows)
+        with pytest.raises(DimensionMismatchError):
+            abelian_coefficient_bruteforce(lamp_a, 2, labels)
+        with pytest.raises(DimensionMismatchError):
+            rational_form(lamp_a, labels)
 
 
 # ------------------------------------------------------------ conjugation
