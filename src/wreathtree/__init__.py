@@ -44,6 +44,7 @@ from .modmath import (
     DimensionMismatchError,
     EventuallyPeriodicStream,
     IterationCapError,
+    NegativeIndexError,
     NonUnitConstantTermError,
     RationalSeries,
     abelian_vector,
@@ -84,6 +85,7 @@ __all__ = [
     "MissingAlphabetError",
     "MissingInitialError",
     "ModuliMismatchError",
+    "NegativeIndexError",
     "NonUnitConstantTermError",
     "NotCyclicError",
     "ParseError",

@@ -1,11 +1,15 @@
 """Command line front end.
 
-Analysis commands print a flat key-value document with keys in sorted
-order so output is byte-stable across runs; construction commands
-(compose, inverse, minimize) emit automaton text and dot emits a DOT
-graph.  The exit code reports whether the analysis ran, never what the
-verdict was: 0 when done, 1 on usage errors, 2 on unreadable or invalid
-input.
+Each command is one row of ``COMMANDS`` (help, handler, number of input
+files, options), and ``_build_parser`` makes the subcommands from it.
+One place, ``_run``, loads the files and prints.  Analysis handlers
+return a document, to which ``_run`` adds the ``command`` and
+``input.*`` keys (``input1.*``, ``input2.*`` for two files) and prints
+it as ``key = value`` lines in sorted order, so output is byte-stable.
+compose, inverse, minimize and dot return text, written to stdout or
+to ``-o``.  The exit code says whether the analysis ran, never what the
+verdict was: 0 when done, 1 on usage errors, 2 on unreadable or
+invalid input.
 """
 
 from __future__ import annotations
@@ -82,192 +86,159 @@ def _render(value) -> str:
     return str(value)
 
 
-def _emit(doc: dict) -> None:
-    for key in sorted(doc):
-        print(f"{key} = {_render(doc[key])}")
-
-
-def _input_keys(doc: dict, prefix: str, path: str, digest: str) -> None:
-    doc[f"{prefix}.path"] = path
-    doc[f"{prefix}.sha256"] = digest
-
-
-def _cmd_validate(args) -> int:
-    parsed, digest = _load(args.file)
+def _validate(args, parsed) -> dict:
     m = parsed.automaton
     doc = {
-        "command": "validate",
         "alphabet": m.k,
-        "states": list(m.names),
+        "states": m.names,
         "invertible": True,
         "initial": None if parsed.initial is None else m.names[parsed.initial],
     }
-    _input_keys(doc, "input", args.file, digest)
+    derived = None
     try:
         derived = validate_cyclic(m)
-        doc["cyclic"] = True
     except NotCyclicError as exc:
-        derived = None
-        doc["cyclic"] = False
         doc["cyclic.obstruction"] = exc.state
+    doc["cyclic"] = derived is not None
     labels = parsed.labels if parsed.labels is not None else derived
     if labels is not None:
         doc["labels.source"] = "explicit" if parsed.labels is not None else "derived"
-        doc["labels.moduli"] = list(labels.moduli)
+        doc["labels.moduli"] = labels.moduli
         for q, name in enumerate(m.names):
-            doc[f"label.{name}"] = list(labels.labels[q])
-    _emit(doc)
-    return 0
+            doc[f"label.{name}"] = labels.labels[q]
+    return doc
 
 
-def _cmd_transitive(args) -> int:
-    parsed, digest = _load(args.file)
+def _transitive(args, parsed) -> dict:
     g = parsed.initial_automaton()
     verdict = is_spherically_transitive(g)
-    doc = {
-        "command": "transitive",
+    return {
         "method": "stream",
         "modulus": g.k,
         "transitive": verdict.transitive,
         "first_bad_index": verdict.first_bad_index,
-        "stream.preperiod": list(verdict.stream.preperiod),
-        "stream.period": list(verdict.stream.period),
+        "stream.preperiod": verdict.stream.preperiod,
+        "stream.period": verdict.stream.period,
     }
-    _input_keys(doc, "input", args.file, digest)
-    _emit(doc)
-    return 0
 
 
-def _cmd_coeffs(args) -> int:
-    parsed, digest = _load(args.file)
+def _coeffs(args, parsed) -> dict:
     g = parsed.initial_automaton()
     labels = labels_or_shifts(parsed.automaton, parsed.labels)
     vector = abelian_vector(labels, args.component)
     stream = coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
-    doc = {
-        "command": "coeffs",
+    return {
         "component": args.component,
         "count": args.count,
         "modulus": stream.modulus,
         "terms": stream.terms(args.count),
-        "stream.preperiod": list(stream.preperiod),
-        "stream.period": list(stream.period),
+        "stream.preperiod": stream.preperiod,
+        "stream.period": stream.period,
     }
-    _input_keys(doc, "input", args.file, digest)
-    _emit(doc)
-    return 0
 
 
-def _cmd_rational(args) -> int:
-    parsed, digest = _load(args.file)
-    g = parsed.initial_automaton()
-    series = rational_form(g, parsed.labels, args.component)
-    doc = {
-        "command": "rational",
+def _rational(args, parsed) -> dict:
+    series = rational_form(parsed.initial_automaton(), parsed.labels, args.component)
+    return {
         "component": args.component,
         "modulus": series.modulus,
-        "numerator": list(series.numerator),
-        "denominator": list(series.denominator),
+        "numerator": series.numerator,
+        "denominator": series.denominator,
     }
-    _input_keys(doc, "input", args.file, digest)
-    _emit(doc)
-    return 0
 
 
-def _cmd_equal_ab(args) -> int:
-    parsed_f, digest_f = _load(args.file1)
-    parsed_g, digest_g = _load(args.file2)
-    f = parsed_f.initial_automaton()
-    g = parsed_g.initial_automaton()
+def _equal_ab(args, parsed_f, parsed_g) -> dict:
     labels_f = labels_or_shifts(parsed_f.automaton, parsed_f.labels)
     labels_g = labels_or_shifts(parsed_g.automaton, parsed_g.labels)
-    equal, witness = abelianization_equal(f, g, labels_f, labels_g)
-    doc = {
-        "command": "equal-ab",
-        "equal": equal,
-        "witness": witness,
-        "moduli": list(labels_f.moduli),
-    }
-    _input_keys(doc, "input1", args.file1, digest_f)
-    _input_keys(doc, "input2", args.file2, digest_g)
-    _emit(doc)
-    return 0
+    equal, witness = abelianization_equal(
+        parsed_f.initial_automaton(), parsed_g.initial_automaton(), labels_f, labels_g
+    )
+    return {"equal": equal, "witness": witness, "moduli": labels_f.moduli}
 
 
-def _cmd_conjugate(args) -> int:
-    parsed_f, digest_f = _load(args.file1)
-    parsed_g, digest_g = _load(args.file2)
+def _conjugate(args, parsed_f, parsed_g) -> dict:
     verdict = conjugate(parsed_f.initial_automaton(), parsed_g.initial_automaton())
-    doc = {
-        "command": "conjugate",
-        "verdict": verdict.status.value,
-        "reason": verdict.reason,
-    }
-    _input_keys(doc, "input1", args.file1, digest_f)
-    _input_keys(doc, "input2", args.file2, digest_g)
-    _emit(doc)
-    return 0
+    return {"verdict": verdict.status.value, "reason": verdict.reason}
 
 
-def _cmd_orbit(args) -> int:
-    parsed, digest = _load(args.file)
+def _orbit(args, parsed) -> dict:
     report = level_transitive(parsed.initial_automaton(), args.level)
-    doc = {
-        "command": "orbit",
+    return {
         "level": report.level,
         "orbit_count": report.orbit_count,
         "max_orbit": report.max_orbit,
         "transitive": report.transitive,
     }
-    _input_keys(doc, "input", args.file, digest)
-    _emit(doc)
-    return 0
 
 
-def _cmd_apply(args) -> int:
-    parsed, digest = _load(args.file)
+def _apply(args, parsed) -> dict:
     g = parsed.initial_automaton()
     word = parse_word(args.word, g.k)
-    doc = {
-        "command": "apply",
+    return {
         "word.input": format_word(word, g.k),
         "word.output": format_word(g.apply(word), g.k),
     }
-    _input_keys(doc, "input", args.file, digest)
-    _emit(doc)
-    return 0
 
 
-def _write_machine(result, args) -> int:
-    text = serialize_automaton(result.automaton, result.initial)
+def _machine(build):
+    """Handler that serializes the machine ``build`` makes from the input machines."""
+
+    def handler(args, *parsed) -> str:
+        g = build(*(p.initial_automaton() for p in parsed))
+        return serialize_automaton(g.automaton, g.initial)
+
+    return handler
+
+
+def _dot(args, parsed) -> str:
+    return to_dot(parsed.automaton, parsed.initial)
+
+
+# option specs: (flags, add_argument keywords)
+_COUNT = (("--count",), {"type": _count, "required": True, "help": "how many terms"})
+_COMPONENT = (("--component",), {"type": _count, "default": 0, "help": "label component index"})
+_LEVEL = (("--level",), {"type": _count, "required": True})
+_WORD = (("--word",), {"required": True})
+_OUTPUT = (("-o", "--output"), {"help": "write to a file instead of stdout"})
+
+# name -> (help, handler, number of input files, option specs), in --help order
+COMMANDS = {
+    "validate": ("check an automaton file and report diagnostics", _validate, 1, ()),
+    "transitive": ("decide spherical transitivity", _transitive, 1, ()),
+    "coeffs": ("print abelianization series coefficients", _coeffs, 1, (_COUNT, _COMPONENT)),
+    "rational": ("print the series as a rational function mod m", _rational, 1, (_COMPONENT,)),
+    "equal-ab": ("compare the abelianization series of two machines", _equal_ab, 2, ()),
+    "conjugate": ("three-valued conjugacy test", _conjugate, 2, ()),
+    "orbit": ("enumerate one tree level and count orbits", _orbit, 1, (_LEVEL,)),
+    "apply": ("apply the machine to one word", _apply, 1, (_WORD,)),
+    "compose": ("serialize FILE1 after FILE2", _machine(lambda f, g: f.compose(g)), 2, (_OUTPUT,)),
+    "inverse": ("serialize the inverse machine", _machine(lambda g: g.inverse()), 1, (_OUTPUT,)),
+    "minimize": ("serialize the minimal machine", _machine(lambda g: g.minimize()), 1, (_OUTPUT,)),
+    "dot": ("print the transition diagram in DOT format", _dot, 1, ()),
+}
+
+# positional file arguments and document key prefixes, by number of input files
+_FILES = {1: (("file",), ("input",)), 2: (("file1", "file2"), ("input1", "input2"))}
+
+
+def _run(args) -> int:
+    """Load the input files, run the handler and write what it returns."""
+    _, handler, n_files, _ = COMMANDS[args.command]
+    names, prefixes = _FILES[n_files]
+    paths = [getattr(args, name) for name in names]
+    loaded = [_load(path) for path in paths]
+    result = handler(args, *(parsed for parsed, _ in loaded))
+    if isinstance(result, dict):
+        result["command"] = args.command
+        for prefix, path, (_, digest) in zip(prefixes, paths, loaded):
+            result[f"{prefix}.path"] = path
+            result[f"{prefix}.sha256"] = digest
+        result = "".join(f"{key} = {_render(result[key])}\n" for key in sorted(result))
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
     else:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return 0
-
-
-def _cmd_compose(args) -> int:
-    parsed_f, _ = _load(args.file1)
-    parsed_g, _ = _load(args.file2)
-    result = parsed_f.initial_automaton().compose(parsed_g.initial_automaton())
-    return _write_machine(result, args)
-
-
-def _cmd_inverse(args) -> int:
-    parsed, _ = _load(args.file)
-    return _write_machine(parsed.initial_automaton().inverse(), args)
-
-
-def _cmd_minimize(args) -> int:
-    parsed, _ = _load(args.file)
-    return _write_machine(parsed.initial_automaton().minimize(), args)
-
-
-def _cmd_dot(args) -> int:
-    parsed, _ = _load(args.file)
-    sys.stdout.write(to_dot(parsed.automaton, parsed.initial))
+            handle.write(result)
     return 0
 
 
@@ -277,66 +248,13 @@ def _build_parser() -> _Parser:
         description="Analyze tree automorphisms given by invertible Mealy automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check an automaton file and report diagnostics")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("transitive", help="decide spherical transitivity")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_transitive)
-
-    p = sub.add_parser("coeffs", help="print abelianization series coefficients")
-    p.add_argument("file")
-    p.add_argument("--count", type=_count, required=True, help="how many terms")
-    p.add_argument("--component", type=_count, default=0, help="label component index")
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("rational", help="print the series as a rational function mod m")
-    p.add_argument("file")
-    p.add_argument("--component", type=_count, default=0, help="label component index")
-    p.set_defaults(func=_cmd_rational)
-
-    p = sub.add_parser("equal-ab", help="compare the abelianization series of two machines")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(func=_cmd_equal_ab)
-
-    p = sub.add_parser("conjugate", help="three-valued conjugacy test")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("orbit", help="enumerate one tree level and count orbits")
-    p.add_argument("file")
-    p.add_argument("--level", type=_count, required=True)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("apply", help="apply the machine to one word")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_apply)
-
-    p = sub.add_parser("compose", help="serialize FILE1 after FILE2")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("inverse", help="serialize the inverse machine")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_inverse)
-
-    p = sub.add_parser("minimize", help="serialize the minimal machine")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_minimize)
-
-    p = sub.add_parser("dot", help="print the transition diagram in DOT format")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_dot)
-
+    for name, (help_text, _, n_files, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for file_arg in _FILES[n_files][0]:
+            p.add_argument(file_arg)
+        for flags, spec in options:
+            p.add_argument(*flags, **spec)
+        p.set_defaults(output=None)
     return parser
 
 
@@ -348,7 +266,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        return _run(args)
     except AutomatonError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ from .automaton import (
     validate_cyclic,
 )
 from .modmath import (
-    DEFAULT_VISIT_CAP,
     EventuallyPeriodicStream,
     RationalSeries,
     _iterates,
@@ -83,9 +82,7 @@ def _first_non_unit(stream: EventuallyPeriodicStream) -> int | None:
     return None
 
 
-def is_spherically_transitive(
-    g: InitialAutomaton, cap: int = DEFAULT_VISIT_CAP
-) -> TransitivityVerdict:
+def is_spherically_transitive(g: InitialAutomaton) -> TransitivityVerdict:
     """Decide whether g acts transitively on every depth of the tree.
 
     Requires every output row to be a power of the standard cycle.  The
@@ -96,7 +93,7 @@ def is_spherically_transitive(
     labels = validate_cyclic(g.automaton)
     matrix = incidence_matrix(g.automaton)
     vector = abelian_vector(labels, 0)
-    stream = coefficient_stream(matrix, vector, g.initial, cap)
+    stream = coefficient_stream(matrix, vector, g.initial)
     bad = _first_non_unit(stream)
     return TransitivityVerdict(bad is None, bad, stream)
 
@@ -150,9 +147,7 @@ def abelianization_equal(
     return witness is None, witness
 
 
-def conjugate(
-    f: InitialAutomaton, g: InitialAutomaton, cap: int = DEFAULT_VISIT_CAP
-) -> ConjugacyVerdict:
+def conjugate(f: InitialAutomaton, g: InitialAutomaton) -> ConjugacyVerdict:
     """Three-valued conjugacy test inside the iterated wreath product.
 
     The abelianization series is a class function on the group, so
@@ -170,7 +165,7 @@ def conjugate(
             f"the abelianization series, a conjugacy invariant, first differ "
             f"at index {witness}",
         )
-    if is_spherically_transitive(f, cap).transitive:
+    if is_spherically_transitive(f).transitive:
         return ConjugacyVerdict(
             ConjugacyStatus.CONJUGATE,
             "both spherically transitive with equal abelianization series",

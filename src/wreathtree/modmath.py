@@ -55,6 +55,10 @@ class IterationCapError(AutomatonError):
     """Cycle search visited more vectors than the safety cap allows."""
 
 
+class NegativeIndexError(AutomatonError):
+    """A series index or tree level below zero was asked for."""
+
+
 @dataclass(frozen=True)
 class EventuallyPeriodicStream:
     """An infinite residue sequence given by a preperiod and a repeating period."""
@@ -75,6 +79,8 @@ class EventuallyPeriodicStream:
                 raise AutomatonError(f"term {c} out of range mod {self.modulus}")
 
     def term(self, j: int) -> int:
+        if j < 0:
+            raise NegativeIndexError(f"stream index {j} is negative")
         if j < len(self.preperiod):
             return self.preperiod[j]
         return self.period[(j - len(self.preperiod)) % len(self.period)]

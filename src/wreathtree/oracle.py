@@ -15,7 +15,7 @@ from .automaton import (
     AutomatonError,
     InitialAutomaton,
 )
-from .modmath import abelian_vector, labels_or_shifts
+from .modmath import NegativeIndexError, abelian_vector, labels_or_shifts
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -41,6 +41,8 @@ def _level_tables(g: InitialAutomaton, n: int, max_words: int, with_images: bool
     the state reached at u, so each output row is read whole.
     """
     k = g.k
+    if n < 0:
+        raise NegativeIndexError(f"level {n} is negative")
     if k**n > max_words:
         raise LevelTooLargeError(
             f"level {n} holds {k ** n} words, above the cap of {max_words}"

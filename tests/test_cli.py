@@ -318,6 +318,35 @@ def test_dot_prints_the_diagram(capsys):
     assert '-> "a";' in out
 
 
+# ------------------------------------------------------------------ help
+
+COMMAND_HELP = [
+    ("validate", "check an automaton file and report diagnostics"),
+    ("transitive", "decide spherical transitivity"),
+    ("coeffs", "print abelianization series coefficients"),
+    ("rational", "print the series as a rational function mod m"),
+    ("equal-ab", "compare the abelianization series of two machines"),
+    ("conjugate", "three-valued conjugacy test"),
+    ("orbit", "enumerate one tree level and count orbits"),
+    ("apply", "apply the machine to one word"),
+    ("compose", "serialize FILE1 after FILE2"),
+    ("inverse", "serialize the inverse machine"),
+    ("minimize", "serialize the minimal machine"),
+    ("dot", "print the transition diagram in DOT format"),
+]
+
+
+def test_help_lists_every_command(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    listed = [
+        tuple(line.split(None, 1))
+        for line in out.splitlines()
+        if line.startswith("    ") and not line.startswith("     ")
+    ]
+    assert listed == COMMAND_HELP
+
+
 # ------------------------------------------------------------ exit codes
 
 

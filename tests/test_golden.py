@@ -1,8 +1,9 @@
 """CLI output on the bundled fixtures, compared with committed files.
 
 Each case runs ``main(argv)`` on the fixtures and compares its exit
-code and stdout with ``tests/golden/<case>.txt``, whose first line is
-``exit = <code>`` and whose rest is stdout verbatim.  The fixture
+code and output with ``tests/golden/<case>.txt``, whose first line is
+``exit = <code>`` and whose rest is stdout verbatim, followed by a
+``--- stderr`` line and stderr when stderr is not empty.  The fixture
 directory is written as ``FIXTURES`` in the stored text, so the files
 do not depend on where the package lives.
 
@@ -35,6 +36,8 @@ SINGLE = (
     ("dot",),
     ("inverse",),
     ("minimize",),
+    ("orbit", "--level", "6"),
+    ("apply", "--word", "1101"),
 )
 PAIRED = ("equal-ab", "conjugate", "compose")
 
@@ -53,16 +56,27 @@ CASES = [
     for command in PAIRED
     for first in NAMES
     for second in NAMES
+] + [
+    # named errors that exit with 2
+    ("error-apply-bad-symbol", ["apply", _fixture("odometer"), "--word", "2"]),
+    ("error-orbit-level-too-large", ["orbit", _fixture("odometer"), "--level", "30"]),
+    (
+        "error-coeffs-bad-component",
+        ["coeffs", _fixture("odometer"), "--count", "3", "--component", "1"],
+    ),
+    ("error-validate-missing-file", ["validate", "/no/such/file.aut"]),
 ]
 
 
 def render(argv):
-    """Exit code and stdout of one CLI run, as stored in a golden file."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code, stdout and any stderr of one CLI run, as stored in a golden file."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    text = stdout.getvalue().replace(str(FIXTURES), "FIXTURES")
-    return f"exit = {code}\n{text}"
+    text = f"exit = {code}\n{stdout.getvalue()}"
+    if stderr.getvalue():
+        text += f"--- stderr\n{stderr.getvalue()}"
+    return text.replace(str(FIXTURES), "FIXTURES")
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])

@@ -7,6 +7,7 @@ from wreathtree import (
     DimensionMismatchError,
     EventuallyPeriodicStream,
     IterationCapError,
+    NegativeIndexError,
     NonUnitConstantTermError,
     RationalSeries,
     abelian_vector,
@@ -87,6 +88,14 @@ def test_stream_zero_labels(lamp_b):
 def test_stream_term_crosses_the_period_boundary():
     s = EventuallyPeriodicStream(5, (4, 3), (1, 2))
     assert s.terms(8) == [4, 3, 1, 2, 1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("preperiod", [(1, 2), ()])
+def test_stream_rejects_negative_indices(preperiod):
+    # unchecked, index -1 wraps into the period, or raises IndexError
+    s = EventuallyPeriodicStream(5, preperiod, (3, 4))
+    with pytest.raises(NegativeIndexError):
+        s.term(-1)
 
 
 def test_stream_guards():

@@ -18,6 +18,7 @@ from wreathtree import (
     LevelOrbitReport,
     LevelTooLargeError,
     MealyAutomaton,
+    NegativeIndexError,
     NotCyclicError,
     abelian_coefficient_bruteforce,
     abelian_vector,
@@ -101,6 +102,14 @@ def test_word_cap_is_enforced(odometer):
         abelian_coefficient_bruteforce(odometer, 5, max_words=31)
     # the cap is a bound, not a target
     assert level_transitive(odometer, 5, max_words=32).transitive
+
+
+def test_negative_levels_are_rejected(odometer):
+    # unchecked, level -1 reports one orbit and coefficient -2 the level-0 sum
+    with pytest.raises(NegativeIndexError):
+        level_transitive(odometer, -1)
+    with pytest.raises(NegativeIndexError):
+        abelian_coefficient_bruteforce(odometer, -2)
 
 
 # ---------------------------------------------------------- coefficients
