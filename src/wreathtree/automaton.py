@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class AutomatonError(Exception):
@@ -78,6 +79,12 @@ class BadSymbolError(AutomatonError):
 
 class AlphabetMismatchError(AutomatonError):
     """Two automata over different alphabets were combined."""
+
+
+def _check_alphabets(f, g) -> None:
+    """Raise AlphabetMismatchError unless f and g share one alphabet size."""
+    if f.k != g.k:
+        raise AlphabetMismatchError(f"alphabet sizes differ: {f.k} != {g.k}")
 
 
 class MissingInitialError(AutomatonError):
@@ -139,17 +146,6 @@ class MealyAutomaton:
     @property
     def n_states(self) -> int:
         return len(self.names)
-
-    def state_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownStateError(name) from None
-
-    def with_initial(self, state: int | str) -> "InitialAutomaton":
-        if isinstance(state, str):
-            state = self.state_index(state)
-        return InitialAutomaton(self, state)
 
 
 @dataclass(frozen=True)
@@ -303,10 +299,6 @@ class InitialAutomaton:
     def k(self) -> int:
         return self.automaton.k
 
-    @property
-    def initial_name(self) -> str:
-        return self.automaton.names[self.initial]
-
     def apply(self, word):
         """Image of ``word`` under the tree map computed by this machine.
 
@@ -355,10 +347,7 @@ class InitialAutomaton:
         pair writes p's output of q's output and, on reading a, moves to
         (p at q's output of a, q at a).
         """
-        if self.k != other.k:
-            raise AlphabetMismatchError(
-                f"alphabet sizes differ: {self.k} != {other.k}"
-            )
+        _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
         k = self.k
         index = {}
@@ -422,10 +411,7 @@ class InitialAutomaton:
 
     def equivalent(self, other: "InitialAutomaton") -> bool:
         """Whether both machines transform every word identically."""
-        if self.k != other.k:
-            raise AlphabetMismatchError(
-                f"alphabet sizes differ: {self.k} != {other.k}"
-            )
+        _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
         off = f.n_states
         delta = [tuple(row) for row in f.delta]
@@ -450,10 +436,10 @@ class AutomatonFile:
 
 
 def _int_token(tok: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok!r}", line) from None
+    """An optional '-' and ASCII digits, nothing else that ``int`` accepts."""
+    if not _INT_RE.match(tok):
+        raise ParseError(f"expected an integer, got {tok!r}", line)
+    return int(tok)
 
 
 def parse_automaton(text: str) -> AutomatonFile:

@@ -26,9 +26,9 @@ from operator import mul
 
 from .automaton import (
     AbelianLabels,
-    AlphabetMismatchError,
     AutomatonError,
     InitialAutomaton,
+    _check_alphabets,
     validate_cyclic,
 )
 from .modmath import (
@@ -122,8 +122,7 @@ def abelianization_equal(
     indices 0 .. d - 1 decide every component, whatever m is, and the
     first index found is the least witness.
     """
-    if f.k != g.k:
-        raise AlphabetMismatchError(f"alphabet sizes differ: {f.k} != {g.k}")
+    _check_alphabets(f, g)
     labels_f = labels_or_shifts(f.automaton, labels_f)
     labels_g = labels_or_shifts(g.automaton, labels_g)
     if labels_f.moduli != labels_g.moduli:

@@ -86,6 +86,8 @@ class EventuallyPeriodicStream:
         return self.period[(j - len(self.preperiod)) % len(self.period)]
 
     def terms(self, count: int) -> list[int]:
+        if count < 0:
+            raise NegativeIndexError(f"term count {count} is negative")
         return [self.term(j) for j in range(count)]
 
 
@@ -237,6 +239,8 @@ def series_expand(series: RationalSeries, count: int) -> list[int]:
     Solves the linear recurrence d_0 c_j = num_j - sum d_i c_{j-i}; the
     constant denominator term must be a unit mod m.
     """
+    if count < 0:
+        raise NegativeIndexError(f"term count {count} is negative")
     m = series.modulus
     den = series.denominator
     d0 = den[0] if den else 0

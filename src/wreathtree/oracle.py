@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import (
-    AbelianLabels,
-    AlphabetMismatchError,
-    AutomatonError,
-    InitialAutomaton,
-)
+from .automaton import AbelianLabels, AutomatonError, InitialAutomaton
 from .modmath import NegativeIndexError, abelian_vector, labels_or_shifts
 
 DEFAULT_WORD_CAP = 10**6
@@ -32,20 +27,21 @@ class LevelOrbitReport:
     transitive: bool
 
 
-def _level_tables(g: InitialAutomaton, n: int, max_words: int, with_images: bool):
+def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
     """Images and section states for all k^n words, in lexicographic order.
 
     Words are their base-k indices; level j+1 tables come from level j
-    by appending one symbol, so the whole run costs O(k^n).  The image
-    of word u followed by a is img[u] followed by out[s][a], where s is
-    the state reached at u, so each output row is read whole.
+    by appending one symbol, so the whole run costs O(k^n); a level of
+    more than ``DEFAULT_WORD_CAP`` words is refused before any of it.
+    The image of word u followed by a is img[u] followed by out[s][a],
+    where s is the state reached at u, so each output row is read whole.
     """
     k = g.k
     if n < 0:
         raise NegativeIndexError(f"level {n} is negative")
-    if k**n > max_words:
+    if k**n > DEFAULT_WORD_CAP:
         raise LevelTooLargeError(
-            f"level {n} holds {k ** n} words, above the cap of {max_words}"
+            f"level {n} holds {k ** n} words, above the cap of {DEFAULT_WORD_CAP}"
         )
     delta, out = g.automaton.delta, g.automaton.out
     img = [0] if with_images else None
@@ -57,9 +53,7 @@ def _level_tables(g: InitialAutomaton, n: int, max_words: int, with_images: bool
     return img, states
 
 
-def level_transitive(
-    g: InitialAutomaton, n: int, max_words: int = DEFAULT_WORD_CAP
-) -> LevelOrbitReport:
+def level_transitive(g: InitialAutomaton, n: int) -> LevelOrbitReport:
     """Orbit structure of g on the k^n words of length n.
 
     Builds the explicit permutation of the level; every output row is a
@@ -67,7 +61,7 @@ def level_transitive(
     cycles.  Walking each cycle once from its least unvisited word
     gives the orbit count and the largest orbit in one linear pass.
     """
-    img, _ = _level_tables(g, n, max_words, with_images=True)
+    img, _ = _level_tables(g, n, with_images=True)
     seen = bytearray(len(img))
     count = largest = 0
     start = seen.find(0)
@@ -89,7 +83,6 @@ def abelian_coefficient_bruteforce(
     n: int,
     labels: AbelianLabels | None = None,
     component: int = 0,
-    max_words: int = DEFAULT_WORD_CAP,
 ) -> int:
     """Sum of the section labels over all words of length n, mod m.
 
@@ -97,12 +90,10 @@ def abelian_coefficient_bruteforce(
     the chosen label component of the states reached there.
     """
     m, residues = abelian_vector(labels_or_shifts(g.automaton, labels), component)
-    _, states = _level_tables(g, n, max_words, with_images=False)
+    _, states = _level_tables(g, n, with_images=False)
     return sum(residues[s] for s in states) % m
 
 
 def conjugate_by(h: InitialAutomaton, g: InitialAutomaton) -> InitialAutomaton:
     """The conjugate h g h^-1, minimized."""
-    if h.k != g.k:
-        raise AlphabetMismatchError(f"alphabet sizes differ: {h.k} != {g.k}")
     return h.compose(g).compose(h.inverse()).minimize()

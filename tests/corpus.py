@@ -17,16 +17,16 @@ from wreathtree import (
 
 def odometer() -> InitialAutomaton:
     """Binary adding machine: swaps the first letter, carries on 1."""
-    return MealyAutomaton(
-        2, ("a", "e"), ((1, 0), (1, 1)), ((1, 0), (0, 1))
-    ).with_initial(0)
+    return InitialAutomaton(
+        MealyAutomaton(2, ("a", "e"), ((1, 0), (1, 1)), ((1, 0), (0, 1))), 0
+    )
 
 
 def decrementer() -> InitialAutomaton:
     """Binary subtracting machine, the inverse map of the odometer."""
-    return MealyAutomaton(
-        2, ("c", "e"), ((0, 1), (1, 1)), ((1, 0), (0, 1))
-    ).with_initial(0)
+    return InitialAutomaton(
+        MealyAutomaton(2, ("c", "e"), ((0, 1), (1, 1)), ((1, 0), (0, 1))), 0
+    )
 
 
 def lamplighter_machine() -> MealyAutomaton:
@@ -35,24 +35,27 @@ def lamplighter_machine() -> MealyAutomaton:
 
 
 def lamp_a() -> InitialAutomaton:
-    return lamplighter_machine().with_initial(0)
+    return InitialAutomaton(lamplighter_machine(), 0)
 
 
 def lamp_b() -> InitialAutomaton:
-    return lamplighter_machine().with_initial(1)
+    return InitialAutomaton(lamplighter_machine(), 1)
 
 
 def identity_machine(k: int = 2) -> InitialAutomaton:
-    return MealyAutomaton(
-        k, ("e",), ((0,) * k,), (tuple(range(k)),)
-    ).with_initial(0)
+    return InitialAutomaton(
+        MealyAutomaton(k, ("e",), ((0,) * k,), (tuple(range(k)),)), 0
+    )
 
 
 def second_letter_flip() -> InitialAutomaton:
     """Binary machine that flips the second letter only; its series is zero."""
-    return MealyAutomaton(
-        2, ("a", "b", "e"), ((1, 1), (2, 2), (2, 2)), ((0, 1), (1, 0), (0, 1))
-    ).with_initial(0)
+    return InitialAutomaton(
+        MealyAutomaton(
+            2, ("a", "b", "e"), ((1, 1), (2, 2), (2, 2)), ((0, 1), (1, 0), (0, 1))
+        ),
+        0,
+    )
 
 
 def chain(k: int, length: int) -> InitialAutomaton:
@@ -64,7 +67,7 @@ def chain(k: int, length: int) -> InitialAutomaton:
     names = tuple(f"s{i}" for i in range(length)) + ("z",)
     delta = tuple((i + 1,) * k for i in range(length)) + ((length,) * k,)
     out = (tuple(range(k)),) * (length + 1)
-    return MealyAutomaton(k, names, delta, out).with_initial(0)
+    return InitialAutomaton(MealyAutomaton(k, names, delta, out), 0)
 
 
 def cycle_row(k: int, e: int) -> tuple:
@@ -79,7 +82,8 @@ def random_cyclic(
     delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
     out = tuple(cycle_row(k, rng.randrange(k)) for _ in range(n))
     names = tuple(f"q{i}" for i in range(n))
-    return MealyAutomaton(k, names, delta, out).with_initial(rng.randrange(n))
+    machine = MealyAutomaton(k, names, delta, out)
+    return InitialAutomaton(machine, rng.randrange(n))
 
 
 def random_invertible(rng: random.Random, k: int, max_states: int = 4) -> InitialAutomaton:
@@ -88,7 +92,8 @@ def random_invertible(rng: random.Random, k: int, max_states: int = 4) -> Initia
     delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
     out = tuple(tuple(rng.sample(range(k), k)) for _ in range(n))
     names = tuple(f"q{i}" for i in range(n))
-    return MealyAutomaton(k, names, delta, out).with_initial(rng.randrange(n))
+    machine = MealyAutomaton(k, names, delta, out)
+    return InitialAutomaton(machine, rng.randrange(n))
 
 
 def random_transitive(rng: random.Random, k: int, max_states: int = 4) -> InitialAutomaton:
@@ -131,7 +136,7 @@ def pad_unreachable(
     rows = labels.labels + tuple(
         tuple(rng.randrange(mod) for mod in labels.moduli) for _ in range(extra)
     )
-    padded = MealyAutomaton(m.k, names, delta, out).with_initial(g.initial)
+    padded = InitialAutomaton(MealyAutomaton(m.k, names, delta, out), g.initial)
     return padded, AbelianLabels(labels.moduli, rows)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from wreathtree import DimensionMismatchError, RationalSeries
+from wreathtree import RationalSeries
+from wreathtree.modmath import DimensionMismatchError
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import corpus
 import wreathtree
 from wreathtree import (
     ConjugacyStatus,
-    DEFAULT_WORD_CAP,
     RationalSeries,
     abelian_coefficient_bruteforce,
     abelian_vector,
@@ -34,6 +33,7 @@ from wreathtree import (
     validate_cyclic,
 )
 from wreathtree.cli import main
+from wreathtree.oracle import DEFAULT_WORD_CAP
 
 SEED = 20260814
 FIXTURES = Path(wreathtree.__file__).parent / "fixtures"

@@ -4,23 +4,25 @@ from hypothesis import strategies as st
 
 import corpus
 from wreathtree import (
-    AlphabetMismatchError,
     AutomatonError,
-    BadPermutationError,
-    BadSymbolError,
     InitialAutomaton,
     MealyAutomaton,
+    parse_automaton,
+    serialize_automaton,
+    to_dot,
+    validate_cyclic,
+)
+from wreathtree.automaton import (
+    AlphabetMismatchError,
+    BadPermutationError,
+    BadSymbolError,
     MissingAlphabetError,
     MissingInitialError,
     NotCyclicError,
     ParseError,
     UnknownStateError,
     format_word,
-    parse_automaton,
     parse_word,
-    serialize_automaton,
-    to_dot,
-    validate_cyclic,
 )
 
 LAMPLIGHTER_TEXT = """\
@@ -43,7 +45,7 @@ def test_parse_lamplighter_structure():
     assert m.out == ((0, 1), (1, 0))
     assert parsed.initial == 1
     assert parsed.labels is None
-    assert parsed.initial_automaton().initial_name == "b"
+    assert m.names[parsed.initial_automaton().initial] == "b"
 
 
 def test_parse_single_state_identity():
@@ -142,6 +144,35 @@ def test_parse_error_carries_line_number():
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ParseError):
         parse_automaton(text)
+
+
+LABELLED_TEXT = "alphabet 2\nstate a perm 1 0 to a a\ninitial a\nabelian 2\nlabel a 1\n"
+
+
+@pytest.mark.parametrize(
+    "line, replacement, token",
+    [
+        (1, "alphabet \uff12", "\uff12"),  # full-width 2
+        (1, "alphabet +2", "+2"),
+        (1, "alphabet 1_0", "1_0"),
+        (2, "state a perm \u0661 \u0660 to a a", "\u0661"),  # Arabic-Indic 1 0
+        (4, "abelian \u0663", "\u0663"),
+        (5, "label a \u0661", "\u0661"),
+    ],
+)
+def test_parse_reads_integers_in_ascii_digits_only(line, replacement, token):
+    # int() accepts all of these; the format is '-' and ASCII digits only
+    lines = LABELLED_TEXT.splitlines()
+    lines[line - 1] = replacement
+    with pytest.raises(ParseError) as err:
+        parse_automaton("\n".join(lines) + "\n")
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: expected an integer, got {token!r}"
+
+
+def test_parse_keeps_the_sign_of_negative_integers():
+    with pytest.raises(ParseError, match="line 1: alphabet size must be at least 2, got -3"):
+        parse_automaton("alphabet -3\n")
 
 
 def test_parse_label_for_unknown_state():
@@ -310,8 +341,8 @@ def test_apply_is_a_bijection_per_level(rng):
 
 
 def test_section_examples(odometer, lamp_a):
-    assert lamp_a.section("1").initial_name == "b"
-    assert odometer.section("0").initial_name == "e"
+    assert lamp_a.automaton.names[lamp_a.section("1").initial] == "b"
+    assert odometer.automaton.names[odometer.section("0").initial] == "e"
     assert odometer.section("").initial == odometer.initial
 
 
@@ -415,14 +446,14 @@ def test_composed_shift_labels_add(rng):
 
 def test_minimize_merges_twin_states():
     m = MealyAutomaton(2, ("a", "b"), ((1, 1), (0, 0)), ((0, 1), (0, 1)))
-    small = m.with_initial(0).minimize()
+    small = InitialAutomaton(m, 0).minimize()
     assert small.automaton.n_states == 1
-    assert small.equivalent(m.with_initial(0))
+    assert small.equivalent(InitialAutomaton(m, 0))
 
 
 def test_minimize_drops_unreachable_states():
     m = MealyAutomaton(2, ("a", "junk"), ((0, 0), (1, 1)), ((0, 1), (1, 0)))
-    small = m.with_initial(0).minimize()
+    small = InitialAutomaton(m, 0).minimize()
     assert small.automaton.names == ("a",)
 
 
@@ -525,7 +556,8 @@ def machine_and_words(draw):
     )
     out = tuple(tuple(draw(st.permutations(range(k)))) for _ in range(n))
     names = tuple(f"q{i}" for i in range(n))
-    g = MealyAutomaton(k, names, delta, out).with_initial(draw(st.integers(0, n - 1)))
+    start = draw(st.integers(0, n - 1))
+    g = InitialAutomaton(MealyAutomaton(k, names, delta, out), start)
     word = st.lists(st.integers(0, k - 1), max_size=6).map(tuple)
     return g, draw(word), draw(word)
 
@@ -555,8 +587,8 @@ def machine_pairs(draw):
         )
         out = tuple(tuple(draw(st.permutations(range(k)))) for _ in range(n))
         names = tuple(f"q{i}" for i in range(n))
-        return MealyAutomaton(k, names, delta, out).with_initial(
-            draw(st.integers(0, n - 1))
+        return InitialAutomaton(
+            MealyAutomaton(k, names, delta, out), draw(st.integers(0, n - 1))
         )
 
     word = tuple(draw(st.lists(st.integers(0, k - 1), max_size=6)))

@@ -7,12 +7,9 @@ import corpus
 import polyref
 from wreathtree import (
     AbelianLabels,
-    AlphabetMismatchError,
-    BadComponentError,
     ConjugacyStatus,
+    InitialAutomaton,
     MealyAutomaton,
-    ModuliMismatchError,
-    NotCyclicError,
     abelian_vector,
     abelianization_equal,
     coefficient_stream,
@@ -25,6 +22,12 @@ from wreathtree import (
     series_expand,
     validate_cyclic,
 )
+from wreathtree.automaton import (
+    AlphabetMismatchError,
+    BadComponentError,
+    NotCyclicError,
+)
+from wreathtree.decide import ModuliMismatchError
 
 
 # ---------- spherical transitivity ----------
@@ -56,7 +59,7 @@ def test_identity_is_not_transitive(identity2):
 def test_transitivity_requires_cyclic_rows():
     m = MealyAutomaton(3, ("a",), ((0, 0, 0),), ((0, 2, 1),))
     with pytest.raises(NotCyclicError):
-        is_spherically_transitive(m.with_initial(0))
+        is_spherically_transitive(InitialAutomaton(m, 0))
 
 
 def test_first_bad_index_can_sit_inside_the_period(rng):
@@ -77,7 +80,7 @@ def test_odometer_on_larger_alphabets_is_transitive():
     for k in (3, 4, 5):
         delta = (tuple(0 if a == k - 1 else 1 for a in range(k)), (1,) * k)
         out = (corpus.cycle_row(k, 1), corpus.cycle_row(k, 0))
-        g = MealyAutomaton(k, ("a", "e"), delta, out).with_initial(0)
+        g = InitialAutomaton(MealyAutomaton(k, ("a", "e"), delta, out), 0)
         verdict = is_spherically_transitive(g)
         assert verdict.transitive and verdict.first_bad_index is None
         for n in range(4):
@@ -260,12 +263,12 @@ def test_conjugate_checks_the_series_first(rng):
 
 def test_transitive_elements_with_distinct_series_are_not_conjugate():
     # two transitive ternary machines whose series differ at index 0
-    plus_one = MealyAutomaton(
-        3, ("a", "e"), ((1, 1, 0), (1, 1, 1)), ((1, 2, 0), (0, 1, 2))
-    ).with_initial(0)
-    other = MealyAutomaton(
-        3, ("b", "e"), ((1, 0, 0), (1, 1, 1)), ((2, 0, 1), (0, 1, 2))
-    ).with_initial(0)
+    plus_one = InitialAutomaton(
+        MealyAutomaton(3, ("a", "e"), ((1, 1, 0), (1, 1, 1)), ((1, 2, 0), (0, 1, 2))), 0
+    )
+    other = InitialAutomaton(
+        MealyAutomaton(3, ("b", "e"), ((1, 0, 0), (1, 1, 1)), ((2, 0, 1), (0, 1, 2))), 0
+    )
     assert is_spherically_transitive(plus_one).transitive
     assert is_spherically_transitive(other).transitive
     assert conjugate(plus_one, other).status is ConjugacyStatus.NOT_CONJUGATE

@@ -3,12 +3,7 @@ import pytest
 import corpus
 from wreathtree import (
     AutomatonError,
-    BadComponentError,
-    DimensionMismatchError,
-    EventuallyPeriodicStream,
     IterationCapError,
-    NegativeIndexError,
-    NonUnitConstantTermError,
     RationalSeries,
     abelian_vector,
     coefficient_stream,
@@ -16,7 +11,14 @@ from wreathtree import (
     series_expand,
     validate_cyclic,
 )
-from wreathtree.modmath import char_poly_mod
+from wreathtree.automaton import BadComponentError
+from wreathtree.modmath import (
+    DimensionMismatchError,
+    EventuallyPeriodicStream,
+    NegativeIndexError,
+    NonUnitConstantTermError,
+    char_poly_mod,
+)
 
 
 # ---------- incidence matrices ----------
@@ -96,6 +98,16 @@ def test_stream_rejects_negative_indices(preperiod):
     s = EventuallyPeriodicStream(5, preperiod, (3, 4))
     with pytest.raises(NegativeIndexError):
         s.term(-1)
+
+
+def test_negative_counts_are_rejected():
+    # unchecked, both return [] as if the count were zero
+    with pytest.raises(NegativeIndexError):
+        EventuallyPeriodicStream(5, (1, 2), (3, 4)).terms(-3)
+    with pytest.raises(NegativeIndexError):
+        series_expand(RationalSeries(2, (1,), (1, 1)), -1)
+    assert EventuallyPeriodicStream(5, (1, 2), (3, 4)).terms(0) == []
+    assert series_expand(RationalSeries(2, (1,), (1, 1)), 0) == []
 
 
 def test_stream_guards():

@@ -12,14 +12,8 @@ import pytest
 import corpus
 from wreathtree import (
     AbelianLabels,
-    AlphabetMismatchError,
-    BadComponentError,
-    DimensionMismatchError,
-    LevelOrbitReport,
-    LevelTooLargeError,
+    InitialAutomaton,
     MealyAutomaton,
-    NegativeIndexError,
-    NotCyclicError,
     abelian_coefficient_bruteforce,
     abelian_vector,
     coefficient_stream,
@@ -28,6 +22,14 @@ from wreathtree import (
     level_transitive,
     rational_form,
 )
+from wreathtree import oracle
+from wreathtree.automaton import (
+    AlphabetMismatchError,
+    BadComponentError,
+    NotCyclicError,
+)
+from wreathtree.modmath import DimensionMismatchError, NegativeIndexError
+from wreathtree.oracle import LevelOrbitReport, LevelTooLargeError
 
 
 def _orbit_sizes_by_apply(g, n):
@@ -95,13 +97,20 @@ def test_orbit_report_agrees_with_apply_recount(rng):
     assert unequal >= 10
 
 
-def test_word_cap_is_enforced(odometer):
+def test_word_cap_is_enforced(odometer, monkeypatch):
+    # the real cap refuses 2^20 words before enumerating any of them
+    with pytest.raises(LevelTooLargeError, match="above the cap of 1000000"):
+        level_transitive(odometer, 20)
+    with pytest.raises(LevelTooLargeError, match="above the cap of 1000000"):
+        abelian_coefficient_bruteforce(odometer, 20)
+    monkeypatch.setattr(oracle, "DEFAULT_WORD_CAP", 31)
     with pytest.raises(LevelTooLargeError):
-        level_transitive(odometer, 5, max_words=31)
+        level_transitive(odometer, 5)
     with pytest.raises(LevelTooLargeError):
-        abelian_coefficient_bruteforce(odometer, 5, max_words=31)
+        abelian_coefficient_bruteforce(odometer, 5)
     # the cap is a bound, not a target
-    assert level_transitive(odometer, 5, max_words=32).transitive
+    monkeypatch.setattr(oracle, "DEFAULT_WORD_CAP", 32)
+    assert level_transitive(odometer, 5).transitive
 
 
 def test_negative_levels_are_rejected(odometer):
@@ -150,7 +159,7 @@ def test_bruteforce_matches_the_closed_form_stream(rng):
 
 
 def test_bruteforce_rejects_bad_label_requests():
-    m = MealyAutomaton(3, ("s",), ((0, 0, 0),), ((0, 2, 1),)).with_initial(0)
+    m = InitialAutomaton(MealyAutomaton(3, ("s",), ((0, 0, 0),), ((0, 2, 1),)), 0)
     with pytest.raises(NotCyclicError) as info:
         abelian_coefficient_bruteforce(m, 1)
     assert info.value.state == "s"

@@ -3,7 +3,7 @@
 import pytest
 
 from polyref import IntPolynomial, det_poly
-from wreathtree import DimensionMismatchError
+from wreathtree.modmath import DimensionMismatchError
 
 
 # ---------- integer polynomials ----------
