@@ -9,6 +9,12 @@ action provides independent ground truth for all of it.
 Error subclasses, verdict and report types and the word helpers are
 imported from their own modules, e.g.
 ``from wreathtree.automaton import ParseError``.
+
+The six exports of ``decide`` load on first use: the first access to
+any of them imports ``decide`` and binds all six here, so later lookups
+are plain attribute reads.  ``decide`` is the one module that still
+uses ``dataclasses``, whose import (with ``inspect``) would otherwise
+cost every CLI command that never decides anything.
 """
 
 from .automaton import (
@@ -21,17 +27,9 @@ from .automaton import (
     to_dot,
     validate_cyclic,
 )
-from .decide import (
-    ConjugacyStatus,
-    abelianization_equal,
-    conjugate,
-    is_spherically_transitive,
-    rational_form,
-)
 from .modmath import (
     DEFAULT_VISIT_CAP,
     IterationCapError,
-    RationalSeries,
     abelian_vector,
     coefficient_stream,
     incidence_matrix,
@@ -40,6 +38,28 @@ from .modmath import (
 from .oracle import abelian_coefficient_bruteforce, conjugate_by, level_transitive
 
 __version__ = "0.1.0"
+
+_DECIDE = (
+    "ConjugacyStatus",
+    "RationalSeries",
+    "abelianization_equal",
+    "conjugate",
+    "is_spherically_transitive",
+    "rational_form",
+)
+
+
+def __getattr__(name):
+    """Import ``decide`` on first use of one of its exports (PEP 562)."""
+    if name not in _DECIDE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import decide
+
+    namespace = globals()
+    for export in _DECIDE:
+        namespace[export] = getattr(decide, export)
+    return namespace[name]
+
 
 __all__ = [
     "AbelianLabels",

@@ -17,7 +17,7 @@ analysis modules consume.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
@@ -95,8 +95,52 @@ class BadComponentError(AutomatonError):
     """A label component index is out of range."""
 
 
-@dataclass(frozen=True)
-class MealyAutomaton:
+class _Record:
+    """Immutable value type whose fields are the names in ``__slots__``.
+
+    It gives what a frozen dataclass would: equality and hashing over
+    the tuple of fields, between instances of the same class only, the
+    repr ``Name(field=value, ...)``, fields that cannot be assigned or
+    deleted, and pickling and copying through the constructor.  Each
+    subclass names two or more fields and sets them in an explicit
+    ``__init__`` with ``_set(self, name, value)``, then checks them.
+
+    Frozen dataclasses would do the same, but ``dataclasses`` imports
+    ``inspect``, ``ast`` and ``tokenize`` and runs a code generator per
+    class, which costs a one-shot CLI process a tenth of its start-up.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+_set = object.__setattr__
+
+
+class MealyAutomaton(_Record):
     """A finite Mealy automaton over the alphabet {0, ..., k-1}.
 
     States are kept in declaration order; ``delta[q][a]`` is the state
@@ -106,15 +150,16 @@ class MealyAutomaton:
     tree automorphisms and has an inverse.
     """
 
-    k: int
-    names: tuple[str, ...]
-    delta: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[int, ...], ...]
+    __slots__ = ("k", "names", "delta", "out")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        object.__setattr__(self, "out", tuple(tuple(row) for row in self.out))
+    def __init__(self, k: int, names, delta, out):
+        _set(self, "k", k)
+        _set(self, "names", tuple(names))
+        _set(self, "delta", tuple(tuple(row) for row in delta))
+        _set(self, "out", tuple(tuple(row) for row in out))
+        self._check()
+
+    def _check(self):
         if self.k < 2:
             raise AutomatonError(f"alphabet size must be at least 2, got {self.k}")
         n = len(self.names)
@@ -148,20 +193,21 @@ class MealyAutomaton:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class AbelianLabels:
+class AbelianLabels(_Record):
     """Per-state values in a product Z/m_1 x ... x Z/m_r of cyclic groups.
 
     ``labels[q][i]`` is the i-th component of the label of state q,
     stored as the canonical residue 0 <= c < m_i.
     """
 
-    moduli: tuple[int, ...]
-    labels: tuple[tuple[int, ...], ...]
+    __slots__ = ("moduli", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(self.moduli))
-        object.__setattr__(self, "labels", tuple(tuple(row) for row in self.labels))
+    def __init__(self, moduli, labels):
+        _set(self, "moduli", tuple(moduli))
+        _set(self, "labels", tuple(tuple(row) for row in labels))
+        self._check()
+
+    def _check(self):
         if not self.moduli:
             raise AutomatonError("at least one modulus is required")
         for m in self.moduli:
@@ -277,8 +323,7 @@ def _behavior_classes(k, delta, out):
         labels = refined
 
 
-@dataclass(frozen=True)
-class InitialAutomaton:
+class InitialAutomaton(_Record):
     """A Mealy automaton with a distinguished initial state.
 
     This is the object that acts on the tree: ``apply`` transforms a
@@ -288,10 +333,14 @@ class InitialAutomaton:
     map.
     """
 
-    automaton: MealyAutomaton
-    initial: int
+    __slots__ = ("automaton", "initial")
 
-    def __post_init__(self):
+    def __init__(self, automaton: MealyAutomaton, initial: int):
+        _set(self, "automaton", automaton)
+        _set(self, "initial", initial)
+        self._check()
+
+    def _check(self):
         if not 0 <= self.initial < self.automaton.n_states:
             raise AutomatonError(f"initial state index {self.initial} is out of range")
 
@@ -421,13 +470,17 @@ class InitialAutomaton:
         return labels[self.initial] == labels[off + other.initial]
 
 
-@dataclass(frozen=True)
-class AutomatonFile:
+class AutomatonFile(_Record):
     """Parsed contents of an automaton text: machine, start, labels."""
 
-    automaton: MealyAutomaton
-    initial: int | None
-    labels: AbelianLabels | None
+    __slots__ = ("automaton", "initial", "labels")
+
+    def __init__(
+        self, automaton: MealyAutomaton, initial: int | None, labels: AbelianLabels | None
+    ):
+        _set(self, "automaton", automaton)
+        _set(self, "initial", initial)
+        _set(self, "labels", labels)
 
     def initial_automaton(self) -> InitialAutomaton:
         if self.initial is None:

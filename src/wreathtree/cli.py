@@ -19,6 +19,7 @@ import hashlib
 import sys
 
 from .automaton import (
+    _INT_RE,
     AutomatonError,
     AutomatonFile,
     NotCyclicError,
@@ -29,12 +30,6 @@ from .automaton import (
     serialize_automaton,
     to_dot,
     validate_cyclic,
-)
-from .decide import (
-    abelianization_equal,
-    conjugate,
-    is_spherically_transitive,
-    rational_form,
 )
 from .modmath import (
     abelian_vector,
@@ -66,11 +61,10 @@ def _load(path: str) -> tuple[AutomatonFile, str]:
 
 
 def _count(text: str) -> int:
-    """argparse type for a count: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """argparse type for a count: a nonnegative integer in ASCII digits."""
+    if not _INT_RE.match(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
@@ -110,6 +104,8 @@ def _validate(args, parsed) -> dict:
 
 
 def _transitive(args, parsed) -> dict:
+    from .decide import is_spherically_transitive
+
     g = parsed.initial_automaton()
     verdict = is_spherically_transitive(g)
     return {
@@ -138,6 +134,8 @@ def _coeffs(args, parsed) -> dict:
 
 
 def _rational(args, parsed) -> dict:
+    from .decide import rational_form
+
     series = rational_form(parsed.initial_automaton(), parsed.labels, args.component)
     return {
         "component": args.component,
@@ -148,6 +146,8 @@ def _rational(args, parsed) -> dict:
 
 
 def _equal_ab(args, parsed_f, parsed_g) -> dict:
+    from .decide import abelianization_equal
+
     labels_f = labels_or_shifts(parsed_f.automaton, parsed_f.labels)
     labels_g = labels_or_shifts(parsed_g.automaton, parsed_g.labels)
     equal, witness = abelianization_equal(
@@ -157,6 +157,8 @@ def _equal_ab(args, parsed_f, parsed_g) -> dict:
 
 
 def _conjugate(args, parsed_f, parsed_g) -> dict:
+    from .decide import conjugate
+
     verdict = conjugate(parsed_f.initial_automaton(), parsed_g.initial_automaton())
     return {"verdict": verdict.status.value, "reason": verdict.reason}
 

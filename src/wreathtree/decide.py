@@ -29,11 +29,12 @@ from .automaton import (
     AutomatonError,
     InitialAutomaton,
     _check_alphabets,
+    _Record,
+    _set,
     validate_cyclic,
 )
 from .modmath import (
     EventuallyPeriodicStream,
-    RationalSeries,
     _iterates,
     _rows,
     abelian_vector,
@@ -68,10 +69,12 @@ class ConjugacyStatus(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class ConjugacyVerdict:
-    status: ConjugacyStatus
-    reason: str
+class ConjugacyVerdict(_Record):
+    __slots__ = ("status", "reason")
+
+    def __init__(self, status: ConjugacyStatus, reason: str):
+        _set(self, "status", status)
+        _set(self, "reason", reason)
 
 
 def _first_non_unit(stream: EventuallyPeriodicStream) -> int | None:
@@ -174,6 +177,34 @@ def conjugate(f: InitialAutomaton, g: InitialAutomaton) -> ConjugacyVerdict:
         "neither element is spherically transitive; the abelianization "
         "criterion only decides the transitive case",
     )
+
+
+def _strip_mod(coeffs, m: int) -> tuple[int, ...]:
+    reduced = [c % m for c in coeffs]
+    while reduced and reduced[-1] == 0:
+        reduced.pop()
+    return tuple(reduced)
+
+
+@dataclass(frozen=True)
+class RationalSeries:
+    """A quotient of polynomials over Z/mZ read as a formal power series.
+
+    Coefficient lists are ascending and stored as canonical residues
+    with trailing zeros stripped; the zero polynomial is empty.
+    """
+
+    modulus: int
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise AutomatonError(f"modulus {self.modulus} must be at least 2")
+        object.__setattr__(self, "numerator", _strip_mod(self.numerator, self.modulus))
+        object.__setattr__(
+            self, "denominator", _strip_mod(self.denominator, self.modulus)
+        )
 
 
 def rational_form(

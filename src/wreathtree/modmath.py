@@ -28,7 +28,6 @@ the d iterates before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter, mul
 
@@ -37,6 +36,8 @@ from .automaton import (
     AutomatonError,
     BadComponentError,
     MealyAutomaton,
+    _Record,
+    _set,
     validate_cyclic,
 )
 
@@ -59,17 +60,18 @@ class NegativeIndexError(AutomatonError):
     """A series index or tree level below zero was asked for."""
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicStream:
+class EventuallyPeriodicStream(_Record):
     """An infinite residue sequence given by a preperiod and a repeating period."""
 
-    modulus: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("modulus", "preperiod", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
+    def __init__(self, modulus: int, preperiod, period):
+        _set(self, "modulus", modulus)
+        _set(self, "preperiod", tuple(preperiod))
+        _set(self, "period", tuple(period))
+        self._check()
+
+    def _check(self):
         if self.modulus < 2:
             raise AutomatonError(f"modulus {self.modulus} must be at least 2")
         if not self.period:
@@ -205,36 +207,11 @@ def char_poly_mod(delta, m: int) -> list[int]:
     return p
 
 
-def _strip_mod(coeffs, m: int) -> tuple[int, ...]:
-    reduced = [c % m for c in coeffs]
-    while reduced and reduced[-1] == 0:
-        reduced.pop()
-    return tuple(reduced)
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """A quotient of polynomials over Z/mZ read as a formal power series.
-
-    Coefficient lists are ascending and stored as canonical residues
-    with trailing zeros stripped; the zero polynomial is empty.
-    """
-
-    modulus: int
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise AutomatonError(f"modulus {self.modulus} must be at least 2")
-        object.__setattr__(self, "numerator", _strip_mod(self.numerator, self.modulus))
-        object.__setattr__(
-            self, "denominator", _strip_mod(self.denominator, self.modulus)
-        )
-
-
-def series_expand(series: RationalSeries, count: int) -> list[int]:
+def series_expand(series, count: int) -> list[int]:
     """First ``count`` coefficients of numerator/denominator in Z/mZ[[t]].
+
+    ``series`` is a ``decide.RationalSeries``; only its fields are read,
+    so this module never imports ``decide``.
 
     Solves the linear recurrence d_0 c_j = num_j - sum d_i c_{j-i}; the
     constant denominator term must be a unit mod m.

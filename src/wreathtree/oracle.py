@@ -7,9 +7,7 @@ slow but independent cross-checks for the closed-form analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .automaton import AbelianLabels, AutomatonError, InitialAutomaton
+from .automaton import AbelianLabels, AutomatonError, InitialAutomaton, _Record, _set
 from .modmath import NegativeIndexError, abelian_vector, labels_or_shifts
 
 DEFAULT_WORD_CAP = 10**6
@@ -19,12 +17,14 @@ class LevelTooLargeError(AutomatonError):
     """A level enumeration would exceed the word cap."""
 
 
-@dataclass(frozen=True)
-class LevelOrbitReport:
-    level: int
-    orbit_count: int
-    max_orbit: int
-    transitive: bool
+class LevelOrbitReport(_Record):
+    __slots__ = ("level", "orbit_count", "max_orbit", "transitive")
+
+    def __init__(self, level: int, orbit_count: int, max_orbit: int, transitive: bool):
+        _set(self, "level", level)
+        _set(self, "orbit_count", orbit_count)
+        _set(self, "max_orbit", max_orbit)
+        _set(self, "transitive", transitive)
 
 
 def _level_tables(g: InitialAutomaton, n: int, with_images: bool):

@@ -1,6 +1,9 @@
 """The top-level surface of the package: the documented names, all of them resolvable."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import wreathtree
@@ -42,8 +45,36 @@ def test_all_is_exactly_the_documented_surface():
 def test_every_exported_name_resolves():
     namespace = {}
     exec("from wreathtree import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTS
     for name in wreathtree.__all__:
         assert namespace[name] is getattr(wreathtree, name)
+
+
+DECIDE_EXPORTS = (
+    "ConjugacyStatus",
+    "RationalSeries",
+    "abelianization_equal",
+    "conjugate",
+    "is_spherically_transitive",
+    "rational_form",
+)
+
+
+def test_decide_exports_bind_into_the_package_on_first_use():
+    # in a fresh process, so that no earlier test has loaded decide; the
+    # benchmark's tracing rewraps functions found in vars(package)
+    probe = (
+        "import sys, wreathtree\n"
+        f"names = {DECIDE_EXPORTS!r}\n"
+        "assert 'wreathtree.decide' not in sys.modules\n"
+        "assert not set(names) & set(vars(wreathtree))\n"
+        "wreathtree.conjugate\n"
+        "from wreathtree import decide\n"
+        "assert all(vars(wreathtree)[n] is getattr(decide, n) for n in names)\n"
+        "assert not hasattr(wreathtree, 'no_such_name')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wreathtree.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_the_benchmark_reads_only_exported_names():

@@ -376,6 +376,25 @@ def test_negative_level_is_a_usage_error(capsys):
     assert out == "" and "--level" in err
 
 
+@pytest.mark.parametrize("value", ["\uff12", "\u0663", "+3", "1_0", " 4", "4 "])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["coeffs", ODOMETER], "--count"),
+        (["coeffs", ODOMETER, "--count", "3"], "--component"),
+        (["rational", ODOMETER], "--component"),
+        (["orbit", ODOMETER], "--level"),
+    ],
+)
+def test_counts_take_only_ascii_digits(capsys, command, option, value):
+    # the file parser's rule: an optional '-' and ASCII digits, nothing
+    # else that int() would accept
+    code, out, err = run(capsys, *command, option, value)
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}: invalid int value: {value!r}" in err
+
+
 def test_missing_file_exits_with_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.aut")
     assert code == 2
@@ -471,3 +490,29 @@ def test_cli_imports_no_test_time_packages():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_loads_dataclasses_and_decide_only_to_decide():
+    # start-up cost: only the handlers that decide something import
+    # ``decide``, the one module built on ``dataclasses`` (and so on
+    # ``inspect``); every other command runs without them
+    probe = (
+        "import sys\n"
+        "from wreathtree.cli import main\n"
+        "heavy = {'dataclasses', 'inspect', 'wreathtree.decide'}\n"
+        "def report(): print(sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
+        "report()\n"
+        f"main(['coeffs', {ODOMETER!r}, '--count', '3'])\n"
+        "report()\n"
+        f"main(['transitive', {ODOMETER!r}])\n"
+        "report()\n"
+    )
+    src = str(Path(wreathtree.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    after_import, after_coeffs, after_transitive = result.stderr.splitlines()
+    assert after_import == "[]"
+    assert after_coeffs == "[]"
+    assert "'wreathtree.decide'" in after_transitive
