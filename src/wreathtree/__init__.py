@@ -64,25 +64,20 @@ def __getattr__(name):
 __all__ = [
     "AbelianLabels",
     "AutomatonError",
-    "ConjugacyStatus",
     "DEFAULT_VISIT_CAP",
     "InitialAutomaton",
     "IterationCapError",
     "MealyAutomaton",
-    "RationalSeries",
     "abelian_coefficient_bruteforce",
     "abelian_vector",
-    "abelianization_equal",
     "coefficient_stream",
-    "conjugate",
     "conjugate_by",
     "incidence_matrix",
-    "is_spherically_transitive",
     "level_transitive",
     "parse_automaton",
-    "rational_form",
     "serialize_automaton",
     "series_expand",
     "to_dot",
     "validate_cyclic",
+    *_DECIDE,
 ]

@@ -14,8 +14,6 @@ and per-state labels in a product of finite cyclic groups, which the
 analysis modules consume.
 """
 
-from __future__ import annotations
-
 import re
 from operator import attrgetter
 
@@ -50,11 +48,10 @@ class UnknownStateError(ParseError):
 class BadPermutationError(AutomatonError):
     """An output row is not a bijection of the alphabet."""
 
-    def __init__(self, state: str, row=None):
+    def __init__(self, state: str, row):
         self.state = state
-        detail = "" if row is None else f" {tuple(row)}"
         super().__init__(
-            f"output row{detail} of state '{state}' is not a permutation of the alphabet"
+            f"output row {tuple(row)} of state '{state}' is not a permutation of the alphabet"
         )
 
 
@@ -71,10 +68,9 @@ class NotCyclicError(AutomatonError):
 class BadSymbolError(AutomatonError):
     """A word contains a symbol outside the alphabet."""
 
-    def __init__(self, position: int, symbol=None):
+    def __init__(self, position: int, symbol):
         self.position = position
-        detail = "" if symbol is None else f" {symbol!r}"
-        super().__init__(f"bad symbol{detail} at position {position}")
+        super().__init__(f"bad symbol {symbol!r} at position {position}")
 
 
 class AlphabetMismatchError(AutomatonError):
@@ -85,6 +81,17 @@ def _check_alphabets(f, g) -> None:
     """Raise AlphabetMismatchError unless f and g share one alphabet size."""
     if f.k != g.k:
         raise AlphabetMismatchError(f"alphabet sizes differ: {f.k} != {g.k}")
+
+
+class DimensionMismatchError(AutomatonError):
+    """Shapes that must agree do not: label rows and states, matrix and vector."""
+
+
+def _check_initial(m, initial: int) -> int:
+    """initial, once checked to be the index of a state of m."""
+    if not 0 <= initial < m.n_states:
+        raise AutomatonError(f"initial state index {initial} is out of range")
+    return initial
 
 
 class MissingInitialError(AutomatonError):
@@ -239,6 +246,25 @@ def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
     return AbelianLabels((m.k,), tuple(shifts))
 
 
+def labels_or_shifts(m: MealyAutomaton, labels: AbelianLabels | None) -> AbelianLabels:
+    """The given labels, one row per state, or else the cyclic shifts of m."""
+    if labels is None:
+        return validate_cyclic(m)
+    if len(labels.labels) != m.n_states:
+        raise DimensionMismatchError(
+            f"{len(labels.labels)} label rows for {m.n_states} states"
+        )
+    return labels
+
+
+def _read_int(text: str) -> int | None:
+    """An optional '-' and ASCII digits as an int, or None for any other text."""
+    try:
+        return int(text) if _INT_RE.match(text) else None
+    except ValueError:  # more digits than the interpreter's limit for int()
+        return None
+
+
 def parse_word(text: str, k: int) -> tuple[int, ...]:
     """Read a word over {0, ..., k-1} from its text form.
 
@@ -260,9 +286,9 @@ def parse_word(text: str, k: int) -> tuple[int, ...]:
     symbols = []
     for i, tok in enumerate(text.split(",")):
         tok = tok.strip()
-        if not (tok.isascii() and tok.isdigit()):
+        s = _read_int(tok)
+        if s is None or tok.startswith("-"):
             raise BadSymbolError(i, tok)
-        s = int(tok)
         if s >= k:
             raise BadSymbolError(i, s)
         symbols.append(s)
@@ -323,6 +349,14 @@ def _behavior_classes(k, delta, out):
         labels = refined
 
 
+def _stacked(f: "InitialAutomaton", g: "InitialAutomaton") -> tuple[tuple, int, int]:
+    """One transition table, g's rows after f's, and the start states of f and g in it."""
+    _check_alphabets(f, g)
+    off = f.automaton.n_states
+    delta = f.automaton.delta + tuple(tuple(off + t for t in row) for row in g.automaton.delta)
+    return delta, f.initial, off + g.initial
+
+
 class InitialAutomaton(_Record):
     """A Mealy automaton with a distinguished initial state.
 
@@ -337,12 +371,7 @@ class InitialAutomaton(_Record):
 
     def __init__(self, automaton: MealyAutomaton, initial: int):
         _set(self, "automaton", automaton)
-        _set(self, "initial", initial)
-        self._check()
-
-    def _check(self):
-        if not 0 <= self.initial < self.automaton.n_states:
-            raise AutomatonError(f"initial state index {self.initial} is out of range")
+        _set(self, "initial", _check_initial(automaton, initial))
 
     @property
     def k(self) -> int:
@@ -399,30 +428,23 @@ class InitialAutomaton(_Record):
         _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
         k = self.k
-        index = {}
-        order = []
-
-        def visit(pair):
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-            return index[pair]
-
-        visit((self.initial, other.initial))
+        order = [(self.initial, other.initial)]
+        index = {order[0]: 0}
         delta = []
         out = []
-        i = 0
-        while i < len(order):
-            p, q = order[i]
+        for p, q in order:
             drow = []
             orow = []
             for a in range(k):
                 b = g.out[q][a]
                 orow.append(f.out[p][b])
-                drow.append(visit((f.delta[p][b], g.delta[q][a])))
+                pair = (f.delta[p][b], g.delta[q][a])
+                if pair not in index:
+                    index[pair] = len(order)
+                    order.append(pair)
+                drow.append(index[pair])
             delta.append(tuple(drow))
             out.append(tuple(orow))
-            i += 1
         names = _dedupe_names(f"{f.names[p]}_{g.names[q]}" for p, q in order)
         product = MealyAutomaton(k, names, tuple(delta), tuple(out))
         return InitialAutomaton(product, 0)
@@ -438,14 +460,11 @@ class InitialAutomaton(_Record):
         k = self.k
         order = [self.initial]
         pos = {self.initial: 0}
-        i = 0
-        while i < len(order):
-            for a in range(k):
-                t = m.delta[order[i]][a]
+        for q in order:
+            for t in m.delta[q]:
                 if t not in pos:
                     pos[t] = len(order)
                     order.append(t)
-            i += 1
         sub_delta = [tuple(pos[m.delta[q][a]] for a in range(k)) for q in order]
         sub_out = [m.out[q] for q in order]
         labels = _behavior_classes(k, sub_delta, sub_out)
@@ -460,14 +479,9 @@ class InitialAutomaton(_Record):
 
     def equivalent(self, other: "InitialAutomaton") -> bool:
         """Whether both machines transform every word identically."""
-        _check_alphabets(self, other)
-        f, g = self.automaton, other.automaton
-        off = f.n_states
-        delta = [tuple(row) for row in f.delta]
-        delta += [tuple(x + off for x in row) for row in g.delta]
-        out = list(f.out) + list(g.out)
-        labels = _behavior_classes(self.k, delta, out)
-        return labels[self.initial] == labels[off + other.initial]
+        delta, i_f, i_g = _stacked(self, other)
+        labels = _behavior_classes(self.k, delta, self.automaton.out + other.automaton.out)
+        return labels[i_f] == labels[i_g]
 
 
 class AutomatonFile(_Record):
@@ -489,10 +503,10 @@ class AutomatonFile(_Record):
 
 
 def _int_token(tok: str, line: int) -> int:
-    """An optional '-' and ASCII digits, nothing else that ``int`` accepts."""
-    if not _INT_RE.match(tok):
+    value = _read_int(tok)
+    if value is None:
         raise ParseError(f"expected an integer, got {tok!r}", line)
-    return int(tok)
+    return value
 
 
 def parse_automaton(text: str) -> AutomatonFile:
@@ -630,8 +644,9 @@ def serialize_automaton(
         tos = " ".join(m.names[t] for t in m.delta[q])
         lines.append(f"state {m.names[q]} perm {perm} to {tos}")
     if initial is not None:
-        lines.append(f"initial {m.names[initial]}")
+        lines.append(f"initial {m.names[_check_initial(m, initial)]}")
     if labels is not None:
+        labels_or_shifts(m, labels)  # one label row per state
         lines.append("abelian " + " ".join(str(x) for x in labels.moduli))
         for q in range(m.n_states):
             lines.append(
@@ -648,7 +663,7 @@ def to_dot(m: MealyAutomaton, initial: int | None = None) -> str:
         while start in m.names:
             start += "_"
         lines.append(f'  "{start}" [shape=point];')
-        lines.append(f'  "{start}" -> "{m.names[initial]}";')
+        lines.append(f'  "{start}" -> "{m.names[_check_initial(m, initial)]}";')
     for name in m.names:
         lines.append(f'  "{name}" [shape=circle];')
     for q in range(m.n_states):

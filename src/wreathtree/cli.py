@@ -12,19 +12,18 @@ verdict was: 0 when done, 1 on usage errors, 2 on unreadable or
 invalid input.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import sys
 
 from .automaton import (
-    _INT_RE,
     AutomatonError,
     AutomatonFile,
     NotCyclicError,
     ParseError,
+    _read_int,
     format_word,
+    labels_or_shifts,
     parse_automaton,
     parse_word,
     serialize_automaton,
@@ -35,7 +34,6 @@ from .modmath import (
     abelian_vector,
     coefficient_stream,
     incidence_matrix,
-    labels_or_shifts,
 )
 from .oracle import level_transitive
 
@@ -62,9 +60,9 @@ def _load(path: str) -> tuple[AutomatonFile, str]:
 
 def _count(text: str) -> int:
     """argparse type for a count: a nonnegative integer in ASCII digits."""
-    if not _INT_RE.match(text):
+    value = _read_int(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
@@ -265,8 +263,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
+        return exc.code
     try:
         return _run(args)
     except AutomatonError as exc:

@@ -16,8 +16,6 @@ matrix of the machine and v holds the per-state shifts, so all of this
 reduces to iterating w -> A w mod m, the one kernel in ``modmath``.
 """
 
-from __future__ import annotations
-
 import enum
 from dataclasses import dataclass
 from itertools import islice
@@ -28,9 +26,10 @@ from .automaton import (
     AbelianLabels,
     AutomatonError,
     InitialAutomaton,
-    _check_alphabets,
     _Record,
     _set,
+    _stacked,
+    labels_or_shifts,
     validate_cyclic,
 )
 from .modmath import (
@@ -41,7 +40,6 @@ from .modmath import (
     char_poly_mod,
     coefficient_stream,
     incidence_matrix,
-    labels_or_shifts,
 )
 
 
@@ -125,19 +123,14 @@ def abelianization_equal(
     indices 0 .. d - 1 decide every component, whatever m is, and the
     first index found is the least witness.
     """
-    _check_alphabets(f, g)
+    delta, i_f, i_g = _stacked(f, g)
     labels_f = labels_or_shifts(f.automaton, labels_f)
     labels_g = labels_or_shifts(g.automaton, labels_g)
     if labels_f.moduli != labels_g.moduli:
         raise ModuliMismatchError(
             f"label moduli differ: {labels_f.moduli} != {labels_g.moduli}"
         )
-    n_f = f.automaton.n_states
-    delta = f.automaton.delta + tuple(
-        tuple(n_f + s for s in row) for row in g.automaton.delta
-    )
     rows = _rows(delta)
-    i_f, i_g = f.initial, n_f + g.initial
     witness: int | None = None
     for component, m in enumerate(labels_f.moduli):
         w = tuple(row[component] for row in labels_f.labels + labels_g.labels)

@@ -26,8 +26,6 @@ A^d w, and by induction every later iterate, is a Z/m-combination of
 the d iterates before it.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from operator import itemgetter, mul
 
@@ -35,17 +33,13 @@ from .automaton import (
     AbelianLabels,
     AutomatonError,
     BadComponentError,
+    DimensionMismatchError,
     MealyAutomaton,
     _Record,
     _set,
-    validate_cyclic,
 )
 
 DEFAULT_VISIT_CAP = 10_000_000
-
-
-class DimensionMismatchError(AutomatonError):
-    """Matrix and vector shapes disagree."""
 
 
 class NonUnitConstantTermError(AutomatonError):
@@ -112,17 +106,6 @@ def incidence_matrix(m: MealyAutomaton) -> tuple:
     r applied to a vector is the sum of its entries at r's successors.
     """
     return _rows(m.delta)
-
-
-def labels_or_shifts(m: MealyAutomaton, labels: AbelianLabels | None) -> AbelianLabels:
-    """The given labels, one row per state, or else the cyclic shifts of m."""
-    if labels is None:
-        return validate_cyclic(m)
-    if len(labels.labels) != m.n_states:
-        raise DimensionMismatchError(
-            f"{len(labels.labels)} label rows for {m.n_states} states"
-        )
-    return labels
 
 
 def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[int, ...]]:

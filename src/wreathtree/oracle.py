@@ -5,10 +5,9 @@ of the tree are enumerated word by word, which makes these functions
 slow but independent cross-checks for the closed-form analysis.
 """
 
-from __future__ import annotations
-
-from .automaton import AbelianLabels, AutomatonError, InitialAutomaton, _Record, _set
-from .modmath import NegativeIndexError, abelian_vector, labels_or_shifts
+from .automaton import AbelianLabels, AutomatonError, InitialAutomaton, labels_or_shifts
+from .automaton import _Record, _set
+from .modmath import NegativeIndexError, abelian_vector
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -39,9 +38,11 @@ def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
     k = g.k
     if n < 0:
         raise NegativeIndexError(f"level {n} is negative")
-    if k**n > DEFAULT_WORD_CAP:
+    if n > 64 or k**n > DEFAULT_WORD_CAP:
+        # 2^64 is far past the cap, so a deeper level is refused without its size
+        size = f"{k}^{n}" if n > 64 else k**n
         raise LevelTooLargeError(
-            f"level {n} holds {k ** n} words, above the cap of {DEFAULT_WORD_CAP}"
+            f"level {n} holds {size} words, above the cap of {DEFAULT_WORD_CAP}"
         )
     delta, out = g.automaton.delta, g.automaton.out
     img = [0] if with_images else None

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import corpus
 from wreathtree import (
+    AbelianLabels,
     AutomatonError,
     InitialAutomaton,
     MealyAutomaton,
@@ -466,6 +467,29 @@ def test_minimize_is_idempotent(rng):
         assert small.automaton.n_states <= g.automaton.n_states
 
 
+def assert_breadth_first(g):
+    """g starts at 0, and a scan of the rows in order meets each new state at the next index."""
+    assert g.initial == 0
+    met = 1
+    for q, row in enumerate(g.automaton.delta):
+        assert q < met  # a state's row comes after the row that met it
+        for t in row:
+            assert t <= met
+            met += t == met
+    assert met == g.automaton.n_states
+
+
+def test_constructions_number_states_breadth_first(rng):
+    # serialized output, and so the CLI's, lists states in this order
+    for _ in range(200):
+        k = rng.choice([2, 3])
+        f = corpus.random_invertible(rng, k, max_states=6)
+        g = corpus.random_invertible(rng, k, max_states=6)
+        fg = f.compose(g)
+        for built in (fg, f.minimize(), fg.minimize()):
+            assert_breadth_first(built)
+
+
 def test_equivalent_odometer_vs_lamp_b(odometer, lamp_b):
     # verdict first, then the word-by-word explanation
     assert not odometer.equivalent(lamp_b)
@@ -524,6 +548,22 @@ def test_to_dot_marks_initial(odometer):
     dot = to_dot(odometer.automaton, odometer.initial)
     assert '[shape=point];' in dot
     assert '-> "a";' in dot
+
+
+def test_writers_reject_an_initial_state_out_of_range(odometer):
+    for initial in (5, 2, -1):
+        for write in (serialize_automaton, to_dot):
+            message = f"initial state index {initial} is out of range"
+            with pytest.raises(AutomatonError, match=message):
+                write(odometer.automaton, initial)
+
+
+def test_serialize_needs_one_label_row_per_state(odometer):
+    # with three rows for two states the text would silently lose one
+    for rows in (((1,),), ((1,), (0,), (1,))):
+        labels = AbelianLabels((2,), rows)
+        with pytest.raises(AutomatonError, match=f"{len(rows)} label rows for 2 states"):
+            serialize_automaton(odometer.automaton, odometer.initial, labels)
 
 
 # ---------- construction guards ----------

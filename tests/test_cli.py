@@ -395,6 +395,66 @@ def test_counts_take_only_ascii_digits(capsys, command, option, value):
     assert f"argument {option}: invalid int value: {value!r}" in err
 
 
+def test_huge_level_is_refused_at_once(capsys):
+    code, out, err = run(capsys, "orbit", ODOMETER, "--level", "1000000000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: LevelTooLargeError: level 1000000000 holds 2^1000000000 words,"
+        " above the cap of 1000000\n"
+    )
+
+
+# more decimal digits than int() reads by default
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, message",
+    [
+        (f"alphabet {HUGE}\n", ["validate"], 2, "ParseError: line 1: expected an integer"),
+        (
+            f"alphabet 2\nstate a perm {HUGE} 1 to a a\n",
+            ["validate"],
+            2,
+            "ParseError: line 2: expected an integer",
+        ),
+        (
+            f"alphabet 2\nstate a perm 1 0 to a a\nabelian {HUGE}\n",
+            ["validate"],
+            2,
+            "ParseError: line 3: expected an integer",
+        ),
+        (
+            f"alphabet 2\nstate a perm 1 0 to a a\nabelian 2\nlabel a {HUGE}\n",
+            ["validate"],
+            2,
+            "ParseError: line 4: expected an integer",
+        ),
+        (
+            serialize_automaton(corpus.identity_machine(11).automaton, 0),
+            ["apply", "--word", HUGE],
+            2,
+            f"BadSymbolError: bad symbol '{HUGE}' at position 0",
+        ),
+        (
+            serialize_automaton(corpus.odometer().automaton, 0),
+            ["coeffs", "--count", HUGE],
+            1,
+            f"argument --count: invalid int value: '{HUGE}'",
+        ),
+    ],
+    ids=["alphabet", "perm", "abelian", "label", "word", "count"],
+)
+def test_integers_past_the_digit_limit_are_named_errors(
+    capsys, tmp_path, text, argv, code, message
+):
+    path = tmp_path / "machine.aut"
+    path.write_text(text)
+    got, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_missing_file_exits_with_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.aut")
     assert code == 2

@@ -113,6 +113,15 @@ def test_word_cap_is_enforced(odometer, monkeypatch):
     assert level_transitive(odometer, 5).transitive
 
 
+def test_huge_levels_are_refused_without_their_size(odometer):
+    # 2^(10^6) has more decimal digits than str() writes, and 2^(10^9)
+    # takes seconds to compute
+    with pytest.raises(LevelTooLargeError, match=r"level 1000000 holds 2\^1000000 words"):
+        level_transitive(odometer, 10**6)
+    with pytest.raises(LevelTooLargeError, match="above the cap of 1000000"):
+        abelian_coefficient_bruteforce(odometer, 10**9)
+
+
 def test_negative_levels_are_rejected(odometer):
     # unchecked, level -1 reports one orbit and coefficient -2 the level-0 sum
     with pytest.raises(NegativeIndexError):
