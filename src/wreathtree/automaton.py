@@ -590,7 +590,7 @@ def parse_automaton(text: str) -> AutomatonFile:
             row = tuple(_int_token(t, lineno) for t in toks[2:])
             for c, m in zip(row, moduli):
                 if not 0 <= c < m:
-                    raise ParseError(f"label component {c} out of range mod {m}", lineno)
+                    raise ParseError(f"label component {c} is out of range mod {m}", lineno)
             label_rows[name] = (row, lineno)
         else:
             raise ParseError(f"unknown directive '{head}'", lineno)

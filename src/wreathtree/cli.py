@@ -37,6 +37,13 @@ from .modmath import (
 )
 from .oracle import level_transitive
 
+# coeffs prints at most this many terms; the stream itself is unbounded
+COUNT_CAP = 10**6
+
+
+class CountTooLargeError(AutomatonError):
+    """coeffs was asked for more terms than ``COUNT_CAP``."""
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with code 1, not 2."""
@@ -117,6 +124,8 @@ def _transitive(args, parsed) -> dict:
 
 
 def _coeffs(args, parsed) -> dict:
+    if args.count > COUNT_CAP:
+        raise CountTooLargeError(f"count {args.count} is above the cap of {COUNT_CAP}")
     g = parsed.initial_automaton()
     labels = labels_or_shifts(parsed.automaton, parsed.labels)
     vector = abelian_vector(labels, args.component)

@@ -5,6 +5,8 @@ of the tree are enumerated word by word, which makes these functions
 slow but independent cross-checks for the closed-form analysis.
 """
 
+from itertools import chain
+
 from .automaton import AbelianLabels, AutomatonError, InitialAutomaton, labels_or_shifts
 from .automaton import _Record, _set
 from .modmath import NegativeIndexError, abelian_vector
@@ -27,13 +29,16 @@ class LevelOrbitReport(_Record):
 
 
 def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
-    """Images and section states for all k^n words, in lexicographic order.
+    """Images of all k^n words and section states of their parents.
 
-    Words are their base-k indices; level j+1 tables come from level j
-    by appending one symbol, so the whole run costs O(k^n); a level of
-    more than ``DEFAULT_WORD_CAP`` words is refused before any of it.
-    The image of word u followed by a is img[u] followed by out[s][a],
-    where s is the state reached at u, so each output row is read whole.
+    Words are their base-k indices, in lexicographic order; level j+1
+    tables come from level j by appending one symbol, so the whole run
+    costs O(k^n); a level of more than ``DEFAULT_WORD_CAP`` words is
+    refused before any of it.  The image of word u followed by a is
+    img[u] followed by out[s][a], where s is the state reached at u, so
+    each output row is read whole.  The states returned are those of the
+    k^(n-1) words of level n-1 (of the root at level 0): a level-n word
+    is its parent followed by a symbol, so no caller needs level n's.
     """
     k = g.k
     if n < 0:
@@ -47,10 +52,11 @@ def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
     delta, out = g.automaton.delta, g.automaton.out
     img = [0] if with_images else None
     states = [g.initial]
-    for _ in range(n):
+    for level in range(1, n + 1):
         if with_images:
             img = [i * k + b for i, s in zip(img, states) for b in out[s]]
-        states = [t for s in states for t in delta[s]]
+        if level < n:
+            states = [t for s in states for t in delta[s]]
     return img, states
 
 
@@ -87,12 +93,18 @@ def abelian_coefficient_bruteforce(
 ) -> int:
     """Sum of the section labels over all words of length n, mod m.
 
-    Walks the transition table to every word of the level and adds up
-    the chosen label component of the states reached there.
+    Walks the transition table to every parent word of the level.  The
+    row of a state s holds the chosen label component at its k children
+    (delta[s]) in symbol order, so chaining the rows of the parents in
+    word order yields the label of every level-n word once, in order.
     """
     m, residues = abelian_vector(labels_or_shifts(g.automaton, labels), component)
-    _, states = _level_tables(g, n, with_images=False)
-    return sum(residues[s] for s in states) % m
+    _, parents = _level_tables(g, n, with_images=False)
+    if n == 0:
+        return residues[g.initial] % m
+    # a list, since list.__getitem__ maps faster than a tuple's slot wrapper
+    rows = [tuple(residues[t] for t in children) for children in g.automaton.delta]
+    return sum(chain.from_iterable(map(rows.__getitem__, parents))) % m
 
 
 def conjugate_by(h: InitialAutomaton, g: InitialAutomaton) -> InitialAutomaton:

@@ -176,6 +176,16 @@ def test_parse_keeps_the_sign_of_negative_integers():
         parse_automaton("alphabet -3\n")
 
 
+def test_parse_names_an_out_of_range_label_as_the_labels_do():
+    # the parser and AbelianLabels word the same fault the same way
+    with pytest.raises(ParseError) as err:
+        parse_automaton("alphabet 2\nstate a perm 0 1 to a a\nabelian 2\nlabel a 5\n")
+    assert str(err.value) == "line 4: label component 5 is out of range mod 2"
+    with pytest.raises(AutomatonError) as err:
+        AbelianLabels((2,), ((5,),))
+    assert str(err.value) == "label component 5 is out of range mod 2"
+
+
 def test_parse_label_for_unknown_state():
     text = "alphabet 2\nstate a perm 0 1 to a a\nabelian 2\nlabel a 0\nlabel zz 1\n"
     with pytest.raises(UnknownStateError):

@@ -16,6 +16,7 @@ import pytest
 import corpus
 import wreathtree
 from wreathtree import AbelianLabels, parse_automaton, serialize_automaton
+from wreathtree import cli
 from wreathtree.cli import main
 
 FIXTURES = Path(wreathtree.__file__).parent / "fixtures"
@@ -402,6 +403,21 @@ def test_huge_level_is_refused_at_once(capsys):
         "error: LevelTooLargeError: level 1000000000 holds 2^1000000000 words,"
         " above the cap of 1000000\n"
     )
+
+
+def test_coeffs_count_is_capped(capsys, monkeypatch):
+    # the real cap refuses one term past it before building any
+    code, out, err = run(capsys, "coeffs", ODOMETER, "--count", "1000001")
+    assert (code, out) == (2, "")
+    assert err == "error: CountTooLargeError: count 1000001 is above the cap of 1000000\n"
+    monkeypatch.setattr(cli, "COUNT_CAP", 3)
+    code, out, err = run(capsys, "coeffs", ODOMETER, "--count", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: CountTooLargeError: count 4 is above the cap of 3\n"
+    # the cap is a bound, not a target
+    code, out, _ = run(capsys, "coeffs", ODOMETER, "--count", "3")
+    assert code == 0
+    assert doc_of(out)["terms"] == "[1, 1, 1]"
 
 
 # more decimal digits than int() reads by default

@@ -65,6 +65,7 @@ CASES = [
         ["coeffs", _fixture("odometer"), "--count", "3", "--component", "1"],
     ),
     ("error-validate-missing-file", ["validate", "/no/such/file.aut"]),
+    ("error-coeffs-count-too-large", ["coeffs", _fixture("odometer"), "--count", "1000001"]),
 ]
 
 

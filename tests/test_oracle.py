@@ -6,6 +6,7 @@ calling apply on every word of a level, one word at a time.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -165,6 +166,38 @@ def test_bruteforce_matches_the_closed_form_stream(rng):
         for n in range(5):
             got = abelian_coefficient_bruteforce(g, n, labels, component)
             assert got == stream.term(n)
+
+
+def test_bruteforce_is_the_label_sum_over_every_word(rng):
+    # any invertible machine, not only cyclic ones, and a modulus past
+    # 2^64: the level sum is the label at each word's section, added up
+    for _ in range(60):
+        k = rng.randint(2, 6)
+        g = corpus.random_invertible(rng, k, max_states=12)
+        big = rng.randrange(2**64 + 1, 2**80)
+        moduli = rng.choice([(big,), (rng.randint(2, 12), big), (big, rng.randint(2, 12))])
+        labels = corpus.random_labels(rng, g.automaton.n_states, moduli)
+        for component, m in enumerate(moduli):
+            for n in range(5):
+                words = itertools.product(range(k), repeat=n)
+                expected = sum(labels.labels[g.section(w).initial][component] for w in words)
+                assert abelian_coefficient_bruteforce(g, n, labels, component) == expected % m
+
+
+def test_level_sum_holds_less_than_a_pointer_per_word(rng):
+    # 6^7 = 279,936 words; a list of their states alone is 8 bytes a word
+    g = corpus.random_cyclic(rng, 6, max_states=6, min_states=6)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = abelian_coefficient_bruteforce(g, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6**7 * 4
+    labels = corpus.validate_cyclic(g.automaton)
+    stream = coefficient_stream(incidence_matrix(g.automaton), abelian_vector(labels, 0), g.initial)
+    assert got == stream.term(7)
 
 
 def test_bruteforce_rejects_bad_label_requests():
