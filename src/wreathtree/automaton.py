@@ -94,6 +94,15 @@ def _check_initial(m, initial: int) -> int:
     return initial
 
 
+def _check_residues(m: int, role: str = "", values=()) -> None:
+    """Raise AutomatonError unless m is at least 2 and every value lies in 0 .. m-1."""
+    if m < 2:
+        raise AutomatonError(f"modulus {m} must be at least 2")
+    for v in values:
+        if not 0 <= v < m:
+            raise AutomatonError(f"{role} {v} is out of range mod {m}")
+
+
 class MissingInitialError(AutomatonError):
     """An operation needs an initial state but none was given."""
 
@@ -217,16 +226,12 @@ class AbelianLabels(_Record):
     def _check(self):
         if not self.moduli:
             raise AutomatonError("at least one modulus is required")
-        for m in self.moduli:
-            if m < 2:
-                raise AutomatonError(f"modulus {m} must be at least 2")
         r = len(self.moduli)
         for row in self.labels:
             if len(row) != r:
                 raise AutomatonError(f"label {row} must have {r} components")
-            for c, m in zip(row, self.moduli):
-                if not 0 <= c < m:
-                    raise AutomatonError(f"label component {c} is out of range mod {m}")
+        for i, m in enumerate(self.moduli):
+            _check_residues(m, "label component", [row[i] for row in self.labels])
 
 
 def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
@@ -509,6 +514,14 @@ def _int_token(tok: str, line: int) -> int:
     return value
 
 
+def _labels_at(line: int, moduli, rows=()) -> AbelianLabels:
+    """AbelianLabels(moduli, rows), any fault in them a ParseError at line."""
+    try:
+        return AbelianLabels(moduli, rows)
+    except AutomatonError as exc:
+        raise ParseError(str(exc), line) from None
+
+
 def parse_automaton(text: str) -> AutomatonFile:
     """Read an automaton from its text form.
 
@@ -573,10 +586,7 @@ def parse_automaton(text: str) -> AutomatonFile:
                 raise ParseError("duplicate abelian directive", lineno)
             if len(toks) < 2:
                 raise ParseError("expected: abelian <m1> ...", lineno)
-            moduli = tuple(_int_token(t, lineno) for t in toks[1:])
-            for m in moduli:
-                if m < 2:
-                    raise ParseError(f"modulus {m} must be at least 2", lineno)
+            moduli = _labels_at(lineno, [_int_token(t, lineno) for t in toks[1:]]).moduli
         elif head == "label":
             if moduli is None:
                 raise ParseError("abelian directive must come before labels", lineno)
@@ -588,9 +598,7 @@ def parse_automaton(text: str) -> AutomatonFile:
             if name in label_rows:
                 raise ParseError(f"duplicate label for state '{name}'", lineno)
             row = tuple(_int_token(t, lineno) for t in toks[2:])
-            for c, m in zip(row, moduli):
-                if not 0 <= c < m:
-                    raise ParseError(f"label component {c} is out of range mod {m}", lineno)
+            _labels_at(lineno, moduli, (row,))
             label_rows[name] = (row, lineno)
         else:
             raise ParseError(f"unknown directive '{head}'", lineno)

@@ -30,11 +30,7 @@ from .automaton import (
     to_dot,
     validate_cyclic,
 )
-from .modmath import (
-    abelian_vector,
-    coefficient_stream,
-    incidence_matrix,
-)
+from .modmath import series_stream
 from .oracle import level_transitive
 
 # coeffs prints at most this many terms; the stream itself is unbounded
@@ -126,10 +122,7 @@ def _transitive(args, parsed) -> dict:
 def _coeffs(args, parsed) -> dict:
     if args.count > COUNT_CAP:
         raise CountTooLargeError(f"count {args.count} is above the cap of {COUNT_CAP}")
-    g = parsed.initial_automaton()
-    labels = labels_or_shifts(parsed.automaton, parsed.labels)
-    vector = abelian_vector(labels, args.component)
-    stream = coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
+    stream = series_stream(parsed.initial_automaton(), parsed.labels, args.component)
     return {
         "component": args.component,
         "count": args.count,

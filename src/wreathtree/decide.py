@@ -26,11 +26,11 @@ from .automaton import (
     AbelianLabels,
     AutomatonError,
     InitialAutomaton,
+    _check_residues,
     _Record,
     _set,
     _stacked,
     labels_or_shifts,
-    validate_cyclic,
 )
 from .modmath import (
     EventuallyPeriodicStream,
@@ -38,8 +38,7 @@ from .modmath import (
     _rows,
     abelian_vector,
     char_poly_mod,
-    coefficient_stream,
-    incidence_matrix,
+    series_stream,
 )
 
 
@@ -91,10 +90,7 @@ def is_spherically_transitive(g: InitialAutomaton) -> TransitivityVerdict:
     a non-unit; by periodicity, scanning the preperiod plus one period
     settles every index.
     """
-    labels = validate_cyclic(g.automaton)
-    matrix = incidence_matrix(g.automaton)
-    vector = abelian_vector(labels, 0)
-    stream = coefficient_stream(matrix, vector, g.initial)
+    stream = series_stream(g)
     bad = _first_non_unit(stream)
     return TransitivityVerdict(bad is None, bad, stream)
 
@@ -115,13 +111,8 @@ def abelianization_equal(
     differ.  Returns (equal, witness) where the witness is the least
     series index at which any component differs, or None.
 
-    The difference of the marked coordinates is a linear functional of
-    the iterates w, A w, A^2 w, ... mod m.  The submodules they span
-    stop growing within d * Omega(m) steps, the length of (Z/m)^d, and
-    Cayley-Hamilton over Z/m tightens that to d: every iterate from
-    A^d w on is a combination of the d before it (see ``modmath``).  So
-    indices 0 .. d - 1 decide every component, whatever m is, and the
-    first index found is the least witness.
+    Indices 0 .. d - 1 decide every component, whatever m is, by the
+    bound proved in ``modmath``, so the first index found is the least.
     """
     delta, i_f, i_g = _stacked(f, g)
     labels_f = labels_or_shifts(f.automaton, labels_f)
@@ -192,8 +183,7 @@ class RationalSeries:
     denominator: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise AutomatonError(f"modulus {self.modulus} must be at least 2")
+        _check_residues(self.modulus)
         object.__setattr__(self, "numerator", _strip_mod(self.numerator, self.modulus))
         object.__setattr__(
             self, "denominator", _strip_mod(self.denominator, self.modulus)

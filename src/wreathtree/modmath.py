@@ -34,9 +34,12 @@ from .automaton import (
     AutomatonError,
     BadComponentError,
     DimensionMismatchError,
+    InitialAutomaton,
     MealyAutomaton,
+    _check_residues,
     _Record,
     _set,
+    labels_or_shifts,
 )
 
 DEFAULT_VISIT_CAP = 10_000_000
@@ -66,13 +69,9 @@ class EventuallyPeriodicStream(_Record):
         self._check()
 
     def _check(self):
-        if self.modulus < 2:
-            raise AutomatonError(f"modulus {self.modulus} must be at least 2")
+        _check_residues(self.modulus, "term", self.preperiod + self.period)
         if not self.period:
             raise AutomatonError("the period must not be empty")
-        for c in self.preperiod + self.period:
-            if not 0 <= c < self.modulus:
-                raise AutomatonError(f"term {c} out of range mod {self.modulus}")
 
     def term(self, j: int) -> int:
         if j < 0:
@@ -139,10 +138,7 @@ def coefficient_stream(
         )
     if not 0 <= init < n:
         raise DimensionMismatchError(f"index {init} out of range for {n} entries")
-    if m < 2:
-        raise AutomatonError(f"modulus {m} must be at least 2")
-    if not all(0 <= x < m for x in w):
-        raise AutomatonError(f"vector entries must be residues mod {m}, got {w}")
+    _check_residues(m, "vector entry", w)
     seen: dict = {}
     terms = []
     for w in _iterates(matrix, tuple(w), m):
@@ -155,6 +151,14 @@ def coefficient_stream(
             )
         seen[w] = len(terms)
         terms.append(w[init])
+
+
+def series_stream(
+    g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
+) -> EventuallyPeriodicStream:
+    """g's series as a stream: one label component, by default the shifts, from g.initial."""
+    vector = abelian_vector(labels_or_shifts(g.automaton, labels), component)
+    return coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
 
 
 def char_poly_mod(delta, m: int) -> list[int]:

@@ -7,12 +7,10 @@ from wreathtree import (
     AbelianLabels,
     InitialAutomaton,
     MealyAutomaton,
-    abelian_vector,
-    coefficient_stream,
-    incidence_matrix,
     is_spherically_transitive,
     validate_cyclic,
 )
+from wreathtree.modmath import series_stream
 
 
 def odometer() -> InitialAutomaton:
@@ -151,12 +149,8 @@ def series_reference(f, g, labels_f=None, labels_g=None):
     labels_g = labels_g or validate_cyclic(g.automaton)
     witnesses = []
     for c in range(len(labels_f.moduli)):
-        sf = coefficient_stream(
-            incidence_matrix(f.automaton), abelian_vector(labels_f, c), f.initial
-        )
-        sg = coefficient_stream(
-            incidence_matrix(g.automaton), abelian_vector(labels_g, c), g.initial
-        )
+        sf = series_stream(f, labels_f, c)
+        sg = series_stream(g, labels_g, c)
         horizon = max(len(sf.preperiod), len(sg.preperiod)) + math.lcm(
             len(sf.period), len(sg.period)
         )

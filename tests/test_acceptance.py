@@ -18,21 +18,18 @@ from wreathtree import (
     ConjugacyStatus,
     RationalSeries,
     abelian_coefficient_bruteforce,
-    abelian_vector,
     abelianization_equal,
-    coefficient_stream,
     conjugate,
     conjugate_by,
-    incidence_matrix,
     is_spherically_transitive,
     level_transitive,
     parse_automaton,
     rational_form,
     serialize_automaton,
     series_expand,
-    validate_cyclic,
 )
 from wreathtree.cli import main
+from wreathtree.modmath import series_stream
 from wreathtree.oracle import DEFAULT_WORD_CAP
 
 SEED = 20260814
@@ -62,14 +59,6 @@ def _max_level(k: int) -> int:
     while k**n > DEFAULT_WORD_CAP:
         n -= 1
     return n
-
-
-def _shift_stream(g):
-    return coefficient_stream(
-        incidence_matrix(g.automaton),
-        abelian_vector(validate_cyclic(g.automaton), 0),
-        g.initial,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +119,7 @@ def test_criterion_03_stream_units_decide_level_transitivity(sweep_corpus):
 def test_criterion_04_stream_terms_match_bruteforce_sums(sweep_corpus):
     checked = 0
     for g in sweep_corpus:
-        stream = _shift_stream(g)
+        stream = series_stream(g)
         for n in range(_max_level(g.k) + 1):
             assert stream.term(n) == abelian_coefficient_bruteforce(g, n), (g, n)
             checked += 1
@@ -139,7 +128,7 @@ def test_criterion_04_stream_terms_match_bruteforce_sums(sweep_corpus):
 
 def test_criterion_05_rational_form_expands_to_the_stream(sweep_corpus):
     for g in sweep_corpus:
-        stream = _shift_stream(g)
+        stream = series_stream(g)
         count = len(stream.preperiod) + 2 * len(stream.period) + 4
         assert series_expand(rational_form(g), count) == stream.terms(count), g
     series = rational_form(corpus.odometer())

@@ -1,5 +1,6 @@
 """The top-level surface of the package: the documented names, all of them resolvable."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import wreathtree
+from wreathtree.decide import TransitivityVerdict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,3 +87,12 @@ def test_the_benchmark_reads_only_exported_names():
         used.update(re.findall(r"\bwt\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
     assert used, "no wt.<name> found under bench/"
     assert used <= set(wreathtree.__all__), sorted(used - set(wreathtree.__all__))
+
+
+def test_the_verdict_and_series_types_stay_dataclasses():
+    # bench/test_bench.py mutates results with dataclasses.replace.  On a
+    # slotted record that call raises TypeError, which the harness counts
+    # as the one failure it expects, so its checks of a mutated numerator
+    # and a flipped verdict would pass without checking anything.
+    assert dataclasses.is_dataclass(TransitivityVerdict)
+    assert dataclasses.is_dataclass(wreathtree.RationalSeries)

@@ -8,6 +8,9 @@ from wreathtree import (
     AutomatonError,
     InitialAutomaton,
     MealyAutomaton,
+    RationalSeries,
+    coefficient_stream,
+    incidence_matrix,
     parse_automaton,
     serialize_automaton,
     to_dot,
@@ -25,6 +28,7 @@ from wreathtree.automaton import (
     format_word,
     parse_word,
 )
+from wreathtree.modmath import EventuallyPeriodicStream
 
 LAMPLIGHTER_TEXT = """\
 alphabet 2
@@ -140,6 +144,10 @@ def test_parse_error_carries_line_number():
         "alphabet 2\nstate a perm 0 1 to a a\nabelian 2\nlabel a 1 1\n",
         "alphabet 2\nstate a perm 0 1 to a a\nabelian 2\nlabel a 0\nlabel a 0\n",
         "alphabet 2\nstate a perm 0 1 to a a\nabelian 1\nlabel a 0\n",
+        "alphabet\n",
+        "alphabet 2\nstate a perm 0 1 to a a\ninitial\n",
+        "alphabet 2\nstate a perm 0 1 to a a\nabelian 2\nabelian 2\nlabel a 0\n",
+        "alphabet 2\nstate a perm 0 1 to a a\nabelian\n",
     ],
 )
 def test_parse_rejects_malformed_text(text):
@@ -184,6 +192,75 @@ def test_parse_names_an_out_of_range_label_as_the_labels_do():
     with pytest.raises(AutomatonError) as err:
         AbelianLabels((2,), ((5,),))
     assert str(err.value) == "label component 5 is out of range mod 2"
+
+
+ONE_STATE = MealyAutomaton(2, ("a",), ((0, 0),), ((1, 0),))
+
+# every owner of the residue rule, built from a modulus m and a residue v:
+# the builder, the message prefix for a bad modulus and for a bad residue,
+# and the role the residue is named by
+RESIDUE_OWNERS = {
+    "AbelianLabels": (lambda m, v: AbelianLabels((m,), ((v,),)), "", "", "label component"),
+    "EventuallyPeriodicStream": (
+        lambda m, v: EventuallyPeriodicStream(m, (), (v,)), "", "", "term"
+    ),
+    "coefficient_stream": (
+        lambda m, v: coefficient_stream(incidence_matrix(ONE_STATE), (m, (v,)), 0),
+        "",
+        "",
+        "vector entry",
+    ),
+    "parse_automaton": (
+        lambda m, v: parse_automaton(
+            f"alphabet 2\nstate a perm 0 1 to a a\nabelian {m}\nlabel a {v}\n"
+        ),
+        "line 3: ",
+        "line 4: ",
+        "label component",
+    ),
+    "RationalSeries": (lambda m, v: RationalSeries(m, (v,), (1,)), "", None, None),
+}
+
+
+@pytest.mark.parametrize("owner", RESIDUE_OWNERS)
+def test_every_owner_words_the_residue_rule_alike(owner):
+    build, at_modulus, at_residue, role = RESIDUE_OWNERS[owner]
+    error = ParseError if at_modulus else AutomatonError
+    with pytest.raises(AutomatonError) as err:
+        build(1, 0)
+    assert type(err.value) is error
+    assert str(err.value) == f"{at_modulus}modulus 1 must be at least 2"
+    if role is None:  # a rational series reduces its coefficients instead
+        assert build(3, 5).numerator == (2,)
+        return
+    for v in (3, -1):
+        with pytest.raises(AutomatonError) as err:
+            build(3, v)
+        assert type(err.value) is error
+        assert str(err.value) == f"{at_residue}{role} {v} is out of range mod 3"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AbelianLabels((), ()), "at least one modulus is required"),
+        (lambda: AbelianLabels((2,), ((1, 0),)), "label (1, 0) must have 1 components"),
+        (
+            lambda: MealyAutomaton(2, ("a-b",), ((0, 0),), ((0, 1),)),
+            "bad state name 'a-b'",
+        ),
+        (
+            lambda: MealyAutomaton(2, ("a", "b"), ((0, 0),), ((0, 1), (0, 1))),
+            "delta and out need one row per state",
+        ),
+    ],
+    ids=["no-moduli", "short-label-row", "bad-name", "missing-delta-row"],
+)
+def test_constructors_reject_malformed_fields(build, message):
+    with pytest.raises(AutomatonError) as err:
+        build()
+    assert type(err.value) is AutomatonError
+    assert str(err.value) == message
 
 
 def test_parse_label_for_unknown_state():
@@ -427,6 +504,19 @@ def test_compose_state_bound(rng):
         assert f.compose(g).automaton.n_states <= bound
 
 
+def test_compose_numbers_names_that_collide():
+    # (a_b, c) and (a, b_c) both read a_b_c; the later pair gets a suffix
+    f = InitialAutomaton(MealyAutomaton(2, ("a_b", "a"), ((1, 1), (1, 1)), ((0, 1), (1, 0))), 0)
+    g = InitialAutomaton(MealyAutomaton(2, ("c", "b_c"), ((1, 1), (1, 1)), ((0, 1), (0, 1))), 0)
+    h = f.compose(g)
+    assert serialize_automaton(h.automaton, h.initial) == (
+        "alphabet 2\n"
+        "state a_b_c perm 0 1 to a_b_c_2 a_b_c_2\n"
+        "state a_b_c_2 perm 1 0 to a_b_c_2 a_b_c_2\n"
+        "initial a_b_c\n"
+    )
+
+
 def test_compose_rejects_mixed_alphabets():
     with pytest.raises(AlphabetMismatchError):
         corpus.identity_machine(2).compose(corpus.identity_machine(3))
@@ -558,6 +648,20 @@ def test_to_dot_marks_initial(odometer):
     dot = to_dot(odometer.automaton, odometer.initial)
     assert '[shape=point];' in dot
     assert '-> "a";' in dot
+
+
+def test_to_dot_start_node_avoids_a_state_name():
+    m = MealyAutomaton(2, ("__start",), ((0, 0),), ((1, 0),))
+    assert to_dot(m, 0) == (
+        "digraph automaton {\n"
+        "  rankdir=LR;\n"
+        '  "__start_" [shape=point];\n'
+        '  "__start_" -> "__start";\n'
+        '  "__start" [shape=circle];\n'
+        '  "__start" -> "__start" [label="0|1"];\n'
+        '  "__start" -> "__start" [label="1|0"];\n'
+        "}\n"
+    )
 
 
 def test_writers_reject_an_initial_state_out_of_range(odometer):

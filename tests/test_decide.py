@@ -10,12 +10,9 @@ from wreathtree import (
     ConjugacyStatus,
     InitialAutomaton,
     MealyAutomaton,
-    abelian_vector,
     abelianization_equal,
-    coefficient_stream,
     conjugate,
     conjugate_by,
-    incidence_matrix,
     is_spherically_transitive,
     level_transitive,
     rational_form,
@@ -28,6 +25,7 @@ from wreathtree.automaton import (
     NotCyclicError,
 )
 from wreathtree.decide import ModuliMismatchError
+from wreathtree.modmath import series_stream
 
 
 # ---------- spherical transitivity ----------
@@ -335,11 +333,7 @@ def test_rational_form_with_explicit_labels(rng):
         labels = corpus.random_labels(rng, g.automaton.n_states, moduli)
         for component in range(len(moduli)):
             series = rational_form(g, labels, component)
-            stream = coefficient_stream(
-                incidence_matrix(g.automaton),
-                abelian_vector(labels, component),
-                g.initial,
-            )
+            stream = series_stream(g, labels, component)
             count = len(stream.preperiod) + 2 * len(stream.period) + 4
             assert series_expand(series, count) == stream.terms(count)
 

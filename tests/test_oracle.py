@@ -16,10 +16,7 @@ from wreathtree import (
     InitialAutomaton,
     MealyAutomaton,
     abelian_coefficient_bruteforce,
-    abelian_vector,
-    coefficient_stream,
     conjugate_by,
-    incidence_matrix,
     level_transitive,
     rational_form,
 )
@@ -29,7 +26,7 @@ from wreathtree.automaton import (
     BadComponentError,
     NotCyclicError,
 )
-from wreathtree.modmath import DimensionMismatchError, NegativeIndexError
+from wreathtree.modmath import DimensionMismatchError, NegativeIndexError, series_stream
 from wreathtree.oracle import LevelOrbitReport, LevelTooLargeError
 
 
@@ -158,11 +155,7 @@ def test_bruteforce_matches_the_closed_form_stream(rng):
         moduli = rng.choice([(2,), (3,), (6,), (2, 3)])
         labels = corpus.random_labels(rng, g.automaton.n_states, moduli)
         component = rng.randrange(len(moduli))
-        stream = coefficient_stream(
-            incidence_matrix(g.automaton),
-            abelian_vector(labels, component),
-            g.initial,
-        )
+        stream = series_stream(g, labels, component)
         for n in range(5):
             got = abelian_coefficient_bruteforce(g, n, labels, component)
             assert got == stream.term(n)
@@ -195,9 +188,7 @@ def test_level_sum_holds_less_than_a_pointer_per_word(rng):
     finally:
         tracemalloc.stop()
     assert peak < 6**7 * 4
-    labels = corpus.validate_cyclic(g.automaton)
-    stream = coefficient_stream(incidence_matrix(g.automaton), abelian_vector(labels, 0), g.initial)
-    assert got == stream.term(7)
+    assert got == series_stream(g).term(7)
 
 
 def test_bruteforce_rejects_bad_label_requests():
