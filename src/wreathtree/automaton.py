@@ -331,35 +331,30 @@ def _dedupe_names(bases) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _behavior_classes(k, delta, out):
+def _behavior_classes(delta, out):
     """Partition states by behavior; returns first-appearance class ids.
 
-    Start from the output rows and refine by successor classes until
-    stable.  Two states land in the same class iff they transform every
-    word identically.
+    Moore refinement: start from the output rows, then key each state by
+    its class and the classes of its whole successor row until no class
+    splits.  Two states land in the same class iff they transform every
+    word identically.  Each round costs O(k n), and a round is needed
+    per depth at which two states are first told apart, so the worst
+    case is O(k n^2): a chain of copying states ending in one flip takes
+    a round per state, about 1.6 s at 2,002 states (Python 3.11, one
+    core of a 2-core x86-64 Linux host).
     """
-    n = len(out)
     ids = {}
-    labels = [ids.setdefault(tuple(out[q]), len(ids)) for q in range(n)]
+    labels = [ids.setdefault(row, len(ids)) for row in out]
     while True:
         ids = {}
+        at = labels.__getitem__
         refined = [
-            ids.setdefault(
-                (labels[q], tuple(labels[delta[q][a]] for a in range(k))), len(ids)
-            )
-            for q in range(n)
+            ids.setdefault((label, tuple(map(at, row))), len(ids))
+            for label, row in zip(labels, delta)
         ]
         if refined == labels:
             return labels
         labels = refined
-
-
-def _stacked(f: "InitialAutomaton", g: "InitialAutomaton") -> tuple[tuple, int, int]:
-    """One transition table, g's rows after f's, and the start states of f and g in it."""
-    _check_alphabets(f, g)
-    off = f.automaton.n_states
-    delta = f.automaton.delta + tuple(tuple(off + t for t in row) for row in g.automaton.delta)
-    return delta, f.initial, off + g.initial
 
 
 class InitialAutomaton(_Record):
@@ -458,11 +453,12 @@ class InitialAutomaton(_Record):
         """The smallest machine computing the same tree map.
 
         Keeps only states reachable from the start, then merges states
-        that behave identically.  Merged states take the name of their
+        that behave identically, by Moore refinement: O(k n^2) in the
+        worst case, one round per depth of distinguishability (see
+        ``_behavior_classes``).  Merged states take the name of their
         earliest member in breadth-first discovery order.
         """
         m = self.automaton
-        k = self.k
         order = [self.initial]
         pos = {self.initial: 0}
         for q in order:
@@ -470,23 +466,54 @@ class InitialAutomaton(_Record):
                 if t not in pos:
                     pos[t] = len(order)
                     order.append(t)
-        sub_delta = [tuple(pos[m.delta[q][a]] for a in range(k)) for q in order]
+        sub_delta = [tuple(map(pos.__getitem__, m.delta[q])) for q in order]
         sub_out = [m.out[q] for q in order]
-        labels = _behavior_classes(k, sub_delta, sub_out)
+        labels = _behavior_classes(sub_delta, sub_out)
         reps = []
         for i, c in enumerate(labels):
             if c == len(reps):
                 reps.append(i)
         names = tuple(m.names[order[r]] for r in reps)
-        delta = tuple(tuple(labels[sub_delta[r][a]] for a in range(k)) for r in reps)
+        delta = tuple(tuple(map(labels.__getitem__, sub_delta[r])) for r in reps)
         out = tuple(sub_out[r] for r in reps)
-        return InitialAutomaton(MealyAutomaton(k, names, delta, out), labels[0])
+        return InitialAutomaton(MealyAutomaton(m.k, names, delta, out), labels[0])
 
     def equivalent(self, other: "InitialAutomaton") -> bool:
-        """Whether both machines transform every word identically."""
-        delta, i_f, i_g = _stacked(self, other)
-        labels = _behavior_classes(self.k, delta, self.automaton.out + other.automaton.out)
-        return labels[i_f] == labels[i_g]
+        """Whether both machines transform every word identically.
+
+        Hopcroft and Karp's union-find ("A linear algorithm for testing
+        equivalence of finite automata", Cornell TR, 1971), with no
+        refinement.  One forest holds f's states, then g's; a stack holds
+        (state of f, state of g) pairs that must act alike, starting
+        with the two initial states.  A pair already in one class is
+        skipped; otherwise its output rows must agree, its two classes
+        merge and its k successor pairs are pushed.  Each merge removes
+        a class, so at most n_f + n_g - 1 pairs push, and with union by
+        rank and path halving the cost is O(k (n_f + n_g) α(n_f + n_g)).
+        """
+        _check_alphabets(self, other)
+        f, g = self.automaton, other.automaton
+        off = f.n_states
+        parent = list(range(off + g.n_states))
+        rank = bytearray(len(parent))
+        stack = [(self.initial, other.initial)]
+        while stack:
+            p, q = stack.pop()
+            x, y = p, off + q
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x == y:
+                continue
+            if f.out[p] != g.out[q]:
+                return False
+            if rank[x] < rank[y]:
+                x, y = y, x
+            parent[y] = x
+            rank[x] += rank[x] == rank[y]
+            stack.extend(zip(f.delta[p], g.delta[q]))
+        return True
 
 
 class AutomatonFile(_Record):

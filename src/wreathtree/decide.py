@@ -26,10 +26,10 @@ from .automaton import (
     AbelianLabels,
     AutomatonError,
     InitialAutomaton,
+    _check_alphabets,
     _check_residues,
     _Record,
     _set,
-    _stacked,
     labels_or_shifts,
 )
 from .modmath import (
@@ -93,6 +93,14 @@ def is_spherically_transitive(g: InitialAutomaton) -> TransitivityVerdict:
     stream = series_stream(g)
     bad = _first_non_unit(stream)
     return TransitivityVerdict(bad is None, bad, stream)
+
+
+def _stacked(f: InitialAutomaton, g: InitialAutomaton) -> tuple[tuple, int, int]:
+    """One transition table, g's rows after f's, and the start states of f and g in it."""
+    _check_alphabets(f, g)
+    off = f.automaton.n_states
+    delta = f.automaton.delta + tuple(tuple(off + t for t in row) for row in g.automaton.delta)
+    return delta, f.initial, off + g.initial
 
 
 def abelianization_equal(

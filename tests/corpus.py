@@ -68,6 +68,18 @@ def chain(k: int, length: int) -> InitialAutomaton:
     return InitialAutomaton(MealyAutomaton(k, names, delta, out), 0)
 
 
+def tail_flip(length: int) -> InitialAutomaton:
+    """Binary chain of ``length`` copying states, then a flip state and a copying sink.
+
+    It moves only the letter at depth ``length``, so no two of its
+    states act alike, and Moore refinement needs a round per state.
+    """
+    names = tuple(f"s{i}" for i in range(length)) + ("t", "z")
+    delta = tuple((i + 1, i + 1) for i in range(length)) + ((length + 1,) * 2,) * 2
+    out = ((0, 1),) * length + ((1, 0), (0, 1))
+    return InitialAutomaton(MealyAutomaton(2, names, delta, out), 0)
+
+
 def cycle_row(k: int, e: int) -> tuple:
     return tuple((i + e) % k for i in range(k))
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,9 +27,11 @@ from wreathtree.automaton import (
     NotCyclicError,
     ParseError,
     UnknownStateError,
+    _behavior_classes,
     format_word,
     parse_word,
 )
+from wreathtree.decide import _stacked
 from wreathtree.modmath import EventuallyPeriodicStream
 
 LAMPLIGHTER_TEXT = """\
@@ -620,6 +624,59 @@ def test_equivalent_is_reflexive_and_respects_minimize(rng):
 def test_equivalent_rejects_mixed_alphabets():
     with pytest.raises(AlphabetMismatchError):
         corpus.identity_machine(2).equivalent(corpus.identity_machine(3))
+
+
+def _moore_equivalent(f, g):
+    """Reference verdict: Moore classes of the stacked table, start states compared."""
+    delta, i_f, i_g = _stacked(f, g)
+    labels = _behavior_classes(delta, f.automaton.out + g.automaton.out)
+    return labels[i_f] == labels[i_g]
+
+
+def _twin(rng, g):
+    """A machine computing g's map, built through other states."""
+    way = rng.randrange(4)
+    if way == 0:
+        return corpus.chain(g.k, rng.randrange(3)).compose(g)  # an identity map
+    if way == 1:
+        return g.compose(corpus.identity_machine(g.k))
+    if way == 2:
+        return g.inverse().inverse()
+    labels = corpus.random_labels(rng, g.automaton.n_states, (2,))
+    return corpus.pad_unreachable(g, labels, rng, rng.randint(1, 2))[0]
+
+
+def test_union_find_equivalence_agrees_with_moore_and_the_simulator(rng):
+    verdicts = []
+    for _ in range(600):
+        k = rng.choice([2, 3])
+        f = corpus.random_invertible(rng, k, max_states=6)
+        g = _twin(rng, f) if rng.random() < 0.3 else corpus.random_invertible(rng, k, max_states=6)
+        if rng.random() < 0.5:
+            f, g = g, f
+        same = f.equivalent(g)
+        assert same == _moore_equivalent(f, g), (f, g)
+        n = f.automaton.n_states + g.automaton.n_states
+        if n <= 8:
+            # two states of n stacked ones that act differently already differ
+            # on some word of length n - 1, and so on every word extending it
+            words = itertools.product(range(k), repeat=n - 1)
+            assert any(f.apply(w) != g.apply(w) for w in words) == (not same), (f, g)
+        verdicts.append(same)
+    assert 150 < sum(verdicts) < 450
+
+
+def test_equivalent_walks_a_20002_state_chain_in_one_pass():
+    # Moore refinement takes a round per chain state here, about 20,000 rounds
+    g = corpus.tail_flip(20_000)
+    h = corpus.tail_flip(20_001)
+    assert g.automaton.n_states == 20_002
+    assert g.equivalent(g)
+    assert not g.equivalent(h)
+    assert not h.equivalent(g)
+    word = (0,) * 20_001  # the first letter the two chains move differently is at depth 20,000
+    assert g.apply(word[:-1]) == h.apply(word[:-1])
+    assert g.apply(word) != h.apply(word)
 
 
 def test_inverse_composes_to_identity(rng, odometer, identity2):
