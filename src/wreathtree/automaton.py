@@ -87,20 +87,44 @@ class DimensionMismatchError(AutomatonError):
     """Shapes that must agree do not: label rows and states, matrix and vector."""
 
 
+def _not_integer(role: str, value) -> AutomatonError:
+    return AutomatonError(f"{role} {value!r} is not an integer")
+
+
 def _check_initial(m, initial: int) -> int:
     """initial, once checked to be the index of a state of m."""
+    if not isinstance(initial, int):
+        raise _not_integer("initial state index", initial)
     if not 0 <= initial < m.n_states:
         raise AutomatonError(f"initial state index {initial} is out of range")
     return initial
 
 
 def _check_residues(m: int, role: str = "", values=()) -> None:
-    """Raise AutomatonError unless m is at least 2 and every value lies in 0 .. m-1."""
+    """Raise AutomatonError unless m is an integer >= 2 and every value one in 0 .. m-1."""
+    if not isinstance(m, int):
+        raise _not_integer("modulus", m)
     if m < 2:
         raise AutomatonError(f"modulus {m} must be at least 2")
     for v in values:
-        if not 0 <= v < m:
-            raise AutomatonError(f"{role} {v} is out of range mod {m}")
+        if not (isinstance(v, int) and 0 <= v < m):
+            fault = f"out of range mod {m}" if isinstance(v, int) else "not an integer"
+            raise AutomatonError(f"{role} {v!r} is {fault}")
+
+
+def _check_alphabet_size(k: int) -> None:
+    """Raise AutomatonError unless k is an integer at least 2."""
+    if not isinstance(k, int):
+        raise _not_integer("alphabet size", k)
+    if k < 2:
+        raise AutomatonError(f"alphabet size must be at least 2, got {k}")
+
+
+def _check_names(names) -> None:
+    """Raise AutomatonError unless every name is letters, digits and underscores."""
+    for name in names:
+        if not (isinstance(name, str) and _NAME_RE.match(name)):
+            raise AutomatonError(f"bad state name {name!r}")
 
 
 class MissingInitialError(AutomatonError):
@@ -176,16 +200,13 @@ class MealyAutomaton(_Record):
         self._check()
 
     def _check(self):
-        if self.k < 2:
-            raise AutomatonError(f"alphabet size must be at least 2, got {self.k}")
+        _check_alphabet_size(self.k)
         n = len(self.names)
         if n == 0:
             raise AutomatonError("an automaton needs at least one state")
         if len(set(self.names)) != n:
             raise AutomatonError("duplicate state names")
-        for name in self.names:
-            if not _NAME_RE.match(name):
-                raise AutomatonError(f"bad state name {name!r}")
+        _check_names(self.names)
         if len(self.delta) != n or len(self.out) != n:
             raise AutomatonError("delta and out need one row per state")
         for q, (drow, orow) in enumerate(zip(self.delta, self.out)):
@@ -193,13 +214,19 @@ class MealyAutomaton(_Record):
                 raise AutomatonError(
                     f"rows of state '{self.names[q]}' must have {self.k} entries"
                 )
-            for a, t in enumerate(drow):
-                if not 0 <= t < n:
+            for t in drow:
+                if not (isinstance(t, int) and 0 <= t < n):
+                    a = next(a for a, s in enumerate(drow) if s is t)
+                    fault = "out of range" if isinstance(t, int) else f"not an integer: {t!r}"
                     raise AutomatonError(
-                        f"transition of state '{self.names[q]}' at {a} is out of range"
+                        f"transition of state '{self.names[q]}' at {a} is {fault}"
                     )
         alphabet = list(range(self.k))
-        bad = {row for row in set(self.out) if sorted(row) != alphabet}
+        bad = {
+            row
+            for row in set(self.out)
+            if sorted(row) != alphabet or not all(map(int.__instancecheck__, row))
+        }
         if bad:
             q = next(q for q, row in enumerate(self.out) if row in bad)
             raise BadPermutationError(self.names[q], self.out[q])
@@ -541,10 +568,10 @@ def _int_token(tok: str, line: int) -> int:
     return value
 
 
-def _labels_at(line: int, moduli, rows=()) -> AbelianLabels:
-    """AbelianLabels(moduli, rows), any fault in them a ParseError at line."""
+def _at(line: int, check, *args):
+    """check(*args), any AutomatonError it raises a ParseError at line."""
     try:
-        return AbelianLabels(moduli, rows)
+        return check(*args)
     except AutomatonError as exc:
         raise ParseError(str(exc), line) from None
 
@@ -581,8 +608,7 @@ def parse_automaton(text: str) -> AutomatonFile:
             if len(toks) != 2:
                 raise ParseError("expected: alphabet <k>", lineno)
             k = _int_token(toks[1], lineno)
-            if k < 2:
-                raise ParseError(f"alphabet size must be at least 2, got {k}", lineno)
+            _at(lineno, _check_alphabet_size, k)
         elif head == "state":
             if k is None:
                 raise MissingAlphabetError(
@@ -594,8 +620,7 @@ def parse_automaton(text: str) -> AutomatonFile:
                     lineno,
                 )
             name = toks[1]
-            if not _NAME_RE.match(name):
-                raise ParseError(f"bad state name {name!r}", lineno)
+            _at(lineno, _check_names, (name,))
             if name in seen:
                 raise ParseError(f"duplicate state '{name}'", lineno)
             seen[name] = len(state_rows)
@@ -613,7 +638,8 @@ def parse_automaton(text: str) -> AutomatonFile:
                 raise ParseError("duplicate abelian directive", lineno)
             if len(toks) < 2:
                 raise ParseError("expected: abelian <m1> ...", lineno)
-            moduli = _labels_at(lineno, [_int_token(t, lineno) for t in toks[1:]]).moduli
+            moduli = [_int_token(t, lineno) for t in toks[1:]]
+            moduli = _at(lineno, AbelianLabels, moduli, ()).moduli
         elif head == "label":
             if moduli is None:
                 raise ParseError("abelian directive must come before labels", lineno)
@@ -625,7 +651,7 @@ def parse_automaton(text: str) -> AutomatonFile:
             if name in label_rows:
                 raise ParseError(f"duplicate label for state '{name}'", lineno)
             row = tuple(_int_token(t, lineno) for t in toks[2:])
-            _labels_at(lineno, moduli, (row,))
+            _at(lineno, AbelianLabels, moduli, (row,))
             label_rows[name] = (row, lineno)
         else:
             raise ParseError(f"unknown directive '{head}'", lineno)

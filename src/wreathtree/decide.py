@@ -32,14 +32,7 @@ from .automaton import (
     _set,
     labels_or_shifts,
 )
-from .modmath import (
-    EventuallyPeriodicStream,
-    _iterates,
-    _rows,
-    abelian_vector,
-    char_poly_mod,
-    series_stream,
-)
+from .modmath import EventuallyPeriodicStream, char_poly_mod, series_stream, series_terms
 
 
 class ModuliMismatchError(AutomatonError):
@@ -95,14 +88,6 @@ def is_spherically_transitive(g: InitialAutomaton) -> TransitivityVerdict:
     return TransitivityVerdict(bad is None, bad, stream)
 
 
-def _stacked(f: InitialAutomaton, g: InitialAutomaton) -> tuple[tuple, int, int]:
-    """One transition table, g's rows after f's, and the start states of f and g in it."""
-    _check_alphabets(f, g)
-    off = f.automaton.n_states
-    delta = f.automaton.delta + tuple(tuple(off + t for t in row) for row in g.automaton.delta)
-    return delta, f.initial, off + g.initial
-
-
 def abelianization_equal(
     f: InitialAutomaton,
     g: InitialAutomaton,
@@ -114,28 +99,30 @@ def abelianization_equal(
     Labels default to the cyclic shifts mod k; explicit labels allow any
     product of cyclic groups, compared component by component over the
     shared moduli.  Each component iterates the two machines side by
-    side, as one block-diagonal incidence matrix A on d stacked states,
-    and asks whether the two marked coordinates of its iterates ever
-    differ.  Returns (equal, witness) where the witness is the least
-    series index at which any component differs, or None.
+    side and compares their series term by term.  Returns (equal,
+    witness) where the witness is the least series index at which any
+    component differs, or None.
 
-    Indices 0 .. d - 1 decide every component, whatever m is, by the
-    bound proved in ``modmath``, so the first index found is the least.
+    The pair of j-th iterates of f and g is the j-th iterate of the
+    block-diagonal matrix diag(A_f, A_g) on d = n_f + n_g coordinates,
+    and the difference of the two terms is a linear functional of it.
+    So indices 0 .. d - 1 decide every component, whatever m is, by the
+    bound proved in ``modmath``, and the first index found is the least.
     """
-    delta, i_f, i_g = _stacked(f, g)
+    _check_alphabets(f, g)
     labels_f = labels_or_shifts(f.automaton, labels_f)
     labels_g = labels_or_shifts(g.automaton, labels_g)
     if labels_f.moduli != labels_g.moduli:
         raise ModuliMismatchError(
             f"label moduli differ: {labels_f.moduli} != {labels_g.moduli}"
         )
-    rows = _rows(delta)
     witness: int | None = None
-    for component, m in enumerate(labels_f.moduli):
-        w = tuple(row[component] for row in labels_f.labels + labels_g.labels)
-        bound = len(delta) if witness is None else witness
-        for j, w in zip(range(bound), _iterates(rows, w, m)):
-            if w[i_f] != w[i_g]:
+    for component in range(len(labels_f.moduli)):
+        bound = f.automaton.n_states + g.automaton.n_states if witness is None else witness
+        _, terms_f = series_terms(f, labels_f, component)
+        _, terms_g = series_terms(g, labels_g, component)
+        for j, a, b in zip(range(bound), terms_f, terms_g):
+            if a != b:
                 witness = j
                 break
     return witness is None, witness
@@ -172,7 +159,11 @@ def conjugate(f: InitialAutomaton, g: InitialAutomaton) -> ConjugacyVerdict:
 
 
 def _strip_mod(coeffs, m: int) -> tuple[int, ...]:
-    reduced = [c % m for c in coeffs]
+    reduced = []
+    for c in coeffs:
+        if not isinstance(c, int):
+            raise AutomatonError(f"coefficient {c!r} is not an integer")
+        reduced.append(c % m)
     while reduced and reduced[-1] == 0:
         reduced.pop()
     return tuple(reduced)
@@ -217,10 +208,10 @@ def rational_form(
     mod m commutes with both steps: the pair is the two Z[t]
     determinants reduced mod m, with no big integers on the way.
     """
-    m, v = abelian_vector(labels_or_shifts(g.automaton, labels), component)
+    m, terms = series_terms(g, labels, component)
     delta = g.automaton.delta
     n = len(delta)
     denominator = char_poly_mod(delta, m)
-    terms = [w[g.initial] for w in islice(_iterates(_rows(delta), v, m), n)]
+    terms = list(islice(terms, n))
     numerator = [sum(map(mul, denominator[j::-1], terms)) % m for j in range(n)]
     return RationalSeries(m, numerator, denominator)

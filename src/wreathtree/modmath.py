@@ -161,6 +161,14 @@ def series_stream(
     return coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
 
 
+def series_terms(
+    g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
+):
+    """g's series as (m, its terms one by one), with the same labels as ``series_stream``."""
+    m, v = abelian_vector(labels_or_shifts(g.automaton, labels), component)
+    return m, map(itemgetter(g.initial), _iterates(incidence_matrix(g.automaton), v, m))
+
+
 def char_poly_mod(delta, m: int) -> list[int]:
     """det(I - A t) mod m, ascending, for the incidence matrix A of ``delta``.
 

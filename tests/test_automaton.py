@@ -31,7 +31,6 @@ from wreathtree.automaton import (
     format_word,
     parse_word,
 )
-from wreathtree.decide import _stacked
 from wreathtree.modmath import EventuallyPeriodicStream
 
 LAMPLIGHTER_TEXT = """\
@@ -226,6 +225,17 @@ RESIDUE_OWNERS = {
 }
 
 
+@pytest.mark.parametrize("owner", [owner for owner in RESIDUE_OWNERS if owner != "parse_automaton"])
+def test_every_owner_refuses_a_residue_that_is_not_an_integer(owner):
+    # the parser reads ASCII digits only, so only library callers can pass these
+    build, _, _, role = RESIDUE_OWNERS[owner]
+    for m, v, value in ((2.0, 0, "modulus 2.0"), (3, 0.5, f"{role or 'coefficient'} 0.5")):
+        with pytest.raises(AutomatonError) as err:
+            build(m, v)
+        assert type(err.value) is AutomatonError
+        assert str(err.value) == f"{value} is not an integer"
+
+
 @pytest.mark.parametrize("owner", RESIDUE_OWNERS)
 def test_every_owner_words_the_residue_rule_alike(owner):
     build, at_modulus, at_residue, role = RESIDUE_OWNERS[owner]
@@ -265,6 +275,61 @@ def test_constructors_reject_malformed_fields(build, message):
         build()
     assert type(err.value) is AutomatonError
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: MealyAutomaton(2.0, ("a",), ((0, 0),), ((1, 0),)),
+            "alphabet size 2.0 is not an integer",
+        ),
+        (
+            lambda: MealyAutomaton(2, ("a",), ((0, 0.0),), ((1, 0),)),
+            "transition of state 'a' at 1 is not an integer: 0.0",
+        ),
+        (
+            lambda: MealyAutomaton(2, (3,), ((0, 0),), ((1, 0),)),
+            "bad state name 3",
+        ),
+        (
+            lambda: InitialAutomaton(ONE_STATE, 0.0),
+            "initial state index 0.0 is not an integer",
+        ),
+    ],
+    ids=["alphabet-size", "transition", "state-name", "initial"],
+)
+def test_machines_name_a_value_of_the_wrong_type(build, message):
+    # each of these once passed its check and failed later with a TypeError
+    with pytest.raises(AutomatonError) as err:
+        build()
+    assert type(err.value) is AutomatonError
+    assert str(err.value) == message
+
+
+def test_output_rows_of_floats_are_not_permutations():
+    # sorted((1.0, 0)) == [0, 1], so the permutation check alone let this through
+    with pytest.raises(BadPermutationError, match=r"output row \(1\.0, 0\) of state 'a'"):
+        MealyAutomaton(2, ("a",), ((0, 0),), ((1.0, 0),))
+
+
+@pytest.mark.parametrize(
+    "text, build",
+    [
+        ("alphabet 1\n", lambda: MealyAutomaton(1, ("a",), ((0,),), ((0,),))),
+        (
+            "alphabet 2\nstate a-b perm 0 1 to a a\n",
+            lambda: MealyAutomaton(2, ("a-b",), ((0, 0),), ((0, 1),)),
+        ),
+    ],
+    ids=["alphabet-size", "state-name"],
+)
+def test_parse_words_the_machine_rules_as_the_constructor_does(text, build):
+    with pytest.raises(AutomatonError) as made:
+        build()
+    with pytest.raises(ParseError) as parsed:
+        parse_automaton(text)
+    assert str(parsed.value) == f"line {parsed.value.line}: {made.value}"
 
 
 def test_parse_label_for_unknown_state():
@@ -627,10 +692,11 @@ def test_equivalent_rejects_mixed_alphabets():
 
 
 def _moore_equivalent(f, g):
-    """Reference verdict: Moore classes of the stacked table, start states compared."""
-    delta, i_f, i_g = _stacked(f, g)
+    """Reference verdict: Moore classes of one table, g's states after f's."""
+    off = f.automaton.n_states
+    delta = f.automaton.delta + tuple(tuple(off + t for t in row) for row in g.automaton.delta)
     labels = _behavior_classes(delta, f.automaton.out + g.automaton.out)
-    return labels[i_f] == labels[i_g]
+    return labels[f.initial] == labels[off + g.initial]
 
 
 def _twin(rng, g):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import corpus
@@ -18,7 +20,10 @@ from wreathtree.modmath import (
     NegativeIndexError,
     NonUnitConstantTermError,
     char_poly_mod,
+    series_stream,
+    series_terms,
 )
+from wreathtree.oracle import abelian_coefficient_bruteforce
 
 
 # ---------- incidence matrices ----------
@@ -133,6 +138,22 @@ def test_stream_matches_direct_matrix_powers(rng):
             assert stream.term(j) == w[g.initial]
             w = [sum(a * x for a, x in zip(row, w)) % k for row in dense]
         assert len(stream.preperiod) + len(stream.period) <= k**n
+
+
+def test_series_terms_agree_with_the_stream_and_the_simulator(rng):
+    # the lazy terms, the closed-form stream and the level sums of the tree
+    for _ in range(150):
+        k = rng.randint(2, 5)
+        g = corpus.random_invertible(rng, k, max_states=8)
+        moduli = (rng.choice([2, 3, 4, 6]), rng.choice([5, 8, 9, 12]))
+        labels = corpus.random_labels(rng, g.automaton.n_states, moduli)
+        for component, m in enumerate(moduli):
+            got_m, terms = series_terms(g, labels, component)
+            assert got_m == m
+            terms = list(itertools.islice(terms, 2 * g.automaton.n_states + 5))
+            assert terms == series_stream(g, labels, component).terms(len(terms))
+            for n in range(5):
+                assert terms[n] == abelian_coefficient_bruteforce(g, n, labels, component)
 
 
 def test_stream_shape_guards(odometer):
