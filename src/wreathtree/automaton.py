@@ -91,15 +91,6 @@ def _not_integer(role: str, value) -> AutomatonError:
     return AutomatonError(f"{role} {value!r} is not an integer")
 
 
-def _check_initial(m, initial: int) -> int:
-    """initial, once checked to be the index of a state of m."""
-    if not isinstance(initial, int):
-        raise _not_integer("initial state index", initial)
-    if not 0 <= initial < m.n_states:
-        raise AutomatonError(f"initial state index {initial} is out of range")
-    return initial
-
-
 def _check_residues(m: int, role: str = "", values=()) -> None:
     """Raise AutomatonError unless m is an integer >= 2 and every value one in 0 .. m-1."""
     if not isinstance(m, int):
@@ -110,6 +101,19 @@ def _check_residues(m: int, role: str = "", values=()) -> None:
         if not (isinstance(v, int) and 0 <= v < m):
             fault = f"out of range mod {m}" if isinstance(v, int) else "not an integer"
             raise AutomatonError(f"{role} {v!r} is {fault}")
+
+
+class NegativeIndexError(AutomatonError):
+    """An index, count, level or cap below zero was asked for."""
+
+
+def _check_index(value, role: str, bound: int | None = None, error=NegativeIndexError) -> int:
+    """value, once checked to be an integer >= 0 and, given a bound, below it."""
+    if not isinstance(value, int):
+        raise _not_integer(role, value)
+    if value < 0 or bound is not None and value >= bound:
+        raise error(f"{role} {value} is {'negative' if bound is None else 'out of range'}")
+    return value
 
 
 def _check_alphabet_size(k: int) -> None:
@@ -398,7 +402,8 @@ class InitialAutomaton(_Record):
 
     def __init__(self, automaton: MealyAutomaton, initial: int):
         _set(self, "automaton", automaton)
-        _set(self, "initial", _check_initial(automaton, initial))
+        _set(self, "initial", initial)
+        _check_index(initial, "initial state index", automaton.n_states, AutomatonError)
 
     @property
     def k(self) -> int:
@@ -554,6 +559,10 @@ class AutomatonFile(_Record):
         _set(self, "automaton", automaton)
         _set(self, "initial", initial)
         _set(self, "labels", labels)
+        if initial is not None:
+            _check_index(initial, "initial state index", automaton.n_states, AutomatonError)
+        if labels is not None:
+            labels_or_shifts(automaton, labels)  # one label row per state
 
     def initial_automaton(self) -> InitialAutomaton:
         if self.initial is None:
@@ -699,15 +708,15 @@ def serialize_automaton(
     labels: AbelianLabels | None = None,
 ) -> str:
     """Emit exactly the text form accepted by ``parse_automaton``."""
+    AutomatonFile(m, initial, labels)  # checks the initial state and the label rows
     lines = [f"alphabet {m.k}"]
     for q in range(m.n_states):
         perm = " ".join(str(x) for x in m.out[q])
         tos = " ".join(m.names[t] for t in m.delta[q])
         lines.append(f"state {m.names[q]} perm {perm} to {tos}")
     if initial is not None:
-        lines.append(f"initial {m.names[_check_initial(m, initial)]}")
+        lines.append(f"initial {m.names[initial]}")
     if labels is not None:
-        labels_or_shifts(m, labels)  # one label row per state
         lines.append("abelian " + " ".join(str(x) for x in labels.moduli))
         for q in range(m.n_states):
             lines.append(
@@ -718,13 +727,14 @@ def serialize_automaton(
 
 def to_dot(m: MealyAutomaton, initial: int | None = None) -> str:
     """Transition diagram in DOT format, edges labelled read|write."""
+    AutomatonFile(m, initial, None)  # checks the initial state
     lines = ["digraph automaton {", "  rankdir=LR;"]
     if initial is not None:
         start = "__start"
         while start in m.names:
             start += "_"
         lines.append(f'  "{start}" [shape=point];')
-        lines.append(f'  "{start}" -> "{m.names[_check_initial(m, initial)]}";')
+        lines.append(f'  "{start}" -> "{m.names[initial]}";')
     for name in m.names:
         lines.append(f'  "{name}" [shape=circle];')
     for q in range(m.n_states):

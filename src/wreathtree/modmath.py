@@ -26,6 +26,7 @@ A^d w, and by induction every later iterate, is a Z/m-combination of
 the d iterates before it.
 """
 
+from itertools import chain, cycle, islice
 from math import gcd
 from operator import itemgetter, mul
 
@@ -36,6 +37,8 @@ from .automaton import (
     DimensionMismatchError,
     InitialAutomaton,
     MealyAutomaton,
+    NegativeIndexError,
+    _check_index,
     _check_residues,
     _Record,
     _set,
@@ -51,10 +54,6 @@ class NonUnitConstantTermError(AutomatonError):
 
 class IterationCapError(AutomatonError):
     """Cycle search visited more vectors than the safety cap allows."""
-
-
-class NegativeIndexError(AutomatonError):
-    """A series index or tree level below zero was asked for."""
 
 
 class EventuallyPeriodicStream(_Record):
@@ -74,16 +73,13 @@ class EventuallyPeriodicStream(_Record):
             raise AutomatonError("the period must not be empty")
 
     def term(self, j: int) -> int:
-        if j < 0:
-            raise NegativeIndexError(f"stream index {j} is negative")
-        if j < len(self.preperiod):
+        if _check_index(j, "stream index") < len(self.preperiod):
             return self.preperiod[j]
         return self.period[(j - len(self.preperiod)) % len(self.period)]
 
     def terms(self, count: int) -> list[int]:
-        if count < 0:
-            raise NegativeIndexError(f"term count {count} is negative")
-        return [self.term(j) for j in range(count)]
+        count = _check_index(count, "term count")
+        return list(islice(chain(self.preperiod, cycle(self.period)), count))
 
 
 def _rows(delta) -> tuple:
@@ -109,10 +105,7 @@ def incidence_matrix(m: MealyAutomaton) -> tuple:
 
 def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[int, ...]]:
     """One chosen component of the per-state labels as (modulus, residues)."""
-    if not 0 <= component < len(labels.moduli):
-        raise BadComponentError(
-            f"component {component} out of range, labels have {len(labels.moduli)}"
-        )
+    _check_index(component, "component", len(labels.moduli), BadComponentError)
     return labels.moduli[component], tuple(row[component] for row in labels.labels)
 
 
@@ -133,11 +126,9 @@ def coefficient_stream(
     m, w = vector
     n = len(matrix)
     if len(w) != n:
-        raise DimensionMismatchError(
-            f"matrix is {n}x{n} but the vector has {len(w)} entries"
-        )
-    if not 0 <= init < n:
-        raise DimensionMismatchError(f"index {init} out of range for {n} entries")
+        raise DimensionMismatchError(f"matrix is {n}x{n} but the vector has {len(w)} entries")
+    _check_index(init, "initial state index", n, DimensionMismatchError)
+    _check_index(cap, "visit cap")
     _check_residues(m, "vector entry", w)
     seen: dict = {}
     terms = []
@@ -211,8 +202,7 @@ def series_expand(series, count: int) -> list[int]:
     Solves the linear recurrence d_0 c_j = num_j - sum d_i c_{j-i}; the
     constant denominator term must be a unit mod m.
     """
-    if count < 0:
-        raise NegativeIndexError(f"term count {count} is negative")
+    _check_index(count, "term count")
     m = series.modulus
     den = series.denominator
     d0 = den[0] if den else 0

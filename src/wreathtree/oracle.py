@@ -8,8 +8,8 @@ slow but independent cross-checks for the closed-form analysis.
 from itertools import chain
 
 from .automaton import AbelianLabels, AutomatonError, InitialAutomaton, labels_or_shifts
-from .automaton import _Record, _set
-from .modmath import NegativeIndexError, abelian_vector
+from .automaton import _check_index, _Record, _set
+from .modmath import abelian_vector
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -41,8 +41,7 @@ def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
     is its parent followed by a symbol, so no caller needs level n's.
     """
     k = g.k
-    if n < 0:
-        raise NegativeIndexError(f"level {n} is negative")
+    _check_index(n, "level")
     if n > 64 or k**n > DEFAULT_WORD_CAP:
         # 2^64 is far past the cap, so a deeper level is refused without its size
         size = f"{k}^{n}" if n > 64 else k**n

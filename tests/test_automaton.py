@@ -11,19 +11,28 @@ from wreathtree import (
     InitialAutomaton,
     MealyAutomaton,
     RationalSeries,
+    abelian_coefficient_bruteforce,
+    abelian_vector,
     coefficient_stream,
     incidence_matrix,
+    level_transitive,
     parse_automaton,
     serialize_automaton,
+    series_expand,
     to_dot,
     validate_cyclic,
 )
+from wreathtree import modmath
 from wreathtree.automaton import (
     AlphabetMismatchError,
+    AutomatonFile,
+    BadComponentError,
     BadPermutationError,
     BadSymbolError,
+    DimensionMismatchError,
     MissingAlphabetError,
     MissingInitialError,
+    NegativeIndexError,
     NotCyclicError,
     ParseError,
     UnknownStateError,
@@ -31,7 +40,7 @@ from wreathtree.automaton import (
     format_word,
     parse_word,
 )
-from wreathtree.modmath import EventuallyPeriodicStream
+from wreathtree.modmath import EventuallyPeriodicStream, series_stream
 
 LAMPLIGHTER_TEXT = """\
 alphabet 2
@@ -252,6 +261,97 @@ def test_every_owner_words_the_residue_rule_alike(owner):
             build(3, v)
         assert type(err.value) is error
         assert str(err.value) == f"{at_residue}{role} {v} is out of range mod 3"
+
+
+# every argument that is an index, a count, a level or a cap, called with a
+# value v: the call, the role the value is named by, the least value past
+# the bound (None where there is no bound) and the error for a negative
+# value or one past the bound
+INDEX_OWNERS = {
+    "InitialAutomaton": (
+        lambda v: InitialAutomaton(ONE_STATE, v), "initial state index", 1, AutomatonError
+    ),
+    "AutomatonFile": (
+        lambda v: AutomatonFile(ONE_STATE, v, None), "initial state index", 1, AutomatonError
+    ),
+    "serialize_automaton": (
+        lambda v: serialize_automaton(ONE_STATE, v), "initial state index", 1, AutomatonError
+    ),
+    "to_dot": (lambda v: to_dot(ONE_STATE, v), "initial state index", 1, AutomatonError),
+    "term": (
+        lambda v: EventuallyPeriodicStream(2, (), (1,)).term(v),
+        "stream index",
+        None,
+        NegativeIndexError,
+    ),
+    "terms": (
+        lambda v: EventuallyPeriodicStream(2, (), (1,)).terms(v),
+        "term count",
+        None,
+        NegativeIndexError,
+    ),
+    "abelian_vector": (
+        lambda v: abelian_vector(validate_cyclic(ONE_STATE), v),
+        "component",
+        1,
+        BadComponentError,
+    ),
+    "series_stream": (
+        lambda v: series_stream(corpus.odometer(), None, v), "component", 1, BadComponentError
+    ),
+    "coefficient_stream-init": (
+        lambda v: coefficient_stream(incidence_matrix(ONE_STATE), (2, (1,)), v),
+        "initial state index",
+        1,
+        DimensionMismatchError,
+    ),
+    "coefficient_stream-cap": (
+        lambda v: coefficient_stream(incidence_matrix(ONE_STATE), (2, (1,)), 0, v),
+        "visit cap",
+        None,
+        NegativeIndexError,
+    ),
+    "series_expand": (
+        lambda v: series_expand(RationalSeries(2, (1,), (1, 1)), v),
+        "term count",
+        None,
+        NegativeIndexError,
+    ),
+    "level_transitive": (
+        lambda v: level_transitive(corpus.odometer(), v), "level", None, NegativeIndexError
+    ),
+    "abelian_coefficient_bruteforce": (
+        lambda v: abelian_coefficient_bruteforce(corpus.odometer(), v),
+        "level",
+        None,
+        NegativeIndexError,
+    ),
+}
+# where None means "no initial state" and is no fault
+NO_INITIAL_STATE = {"AutomatonFile", "serialize_automaton", "to_dot"}
+
+
+@pytest.mark.parametrize("owner", INDEX_OWNERS)
+def test_every_owner_words_the_index_rule_alike(owner):
+    # the CLI's parser yields only ints, so only library callers can pass these
+    call, role, bound, error = INDEX_OWNERS[owner]
+    for v in (0.5, "1", None):
+        if v is None and owner in NO_INITIAL_STATE:
+            call(v)
+            continue
+        with pytest.raises(AutomatonError) as err:
+            call(v)
+        assert type(err.value) is AutomatonError
+        assert str(err.value) == f"{role} {v!r} is not an integer"
+    for v in (-1,) if bound is None else (-1, bound):
+        with pytest.raises(AutomatonError) as err:
+            call(v)
+        assert type(err.value) is error
+        assert str(err.value) == f"{role} {v} is {'negative' if bound is None else 'out of range'}"
+
+
+def test_negative_index_error_is_importable_from_modmath():
+    assert modmath.NegativeIndexError is NegativeIndexError
 
 
 @pytest.mark.parametrize(
@@ -801,6 +901,8 @@ def test_serialize_needs_one_label_row_per_state(odometer):
         labels = AbelianLabels((2,), rows)
         with pytest.raises(AutomatonError, match=f"{len(rows)} label rows for 2 states"):
             serialize_automaton(odometer.automaton, odometer.initial, labels)
+        with pytest.raises(DimensionMismatchError, match=f"{len(rows)} label rows for 2 states"):
+            AutomatonFile(odometer.automaton, None, labels)
 
 
 # ---------- construction guards ----------

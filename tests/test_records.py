@@ -54,7 +54,8 @@ RECORDS = [
         AutomatonFile,
         {"automaton": MACHINE, "initial": None, "labels": LABELS},
         f"AutomatonFile(automaton={MACHINE_REPR}, initial=None, labels={LABELS_REPR})",
-        None,
+        ({"automaton": MACHINE, "initial": 2, "labels": LABELS},
+         "initial state index 2 is out of range"),
     ),
     (
         EventuallyPeriodicStream,
