@@ -109,7 +109,7 @@ class NegativeIndexError(AutomatonError):
 
 def _check_index(value, role: str, bound: int | None = None, error=NegativeIndexError) -> int:
     """value, once checked to be an integer >= 0 and, given a bound, below it."""
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):  # True is an int, not an index
         raise _not_integer(role, value)
     if value < 0 or bound is not None and value >= bound:
         raise error(f"{role} {value} is {'negative' if bound is None else 'out of range'}")
@@ -308,6 +308,7 @@ def parse_word(text: str, k: int) -> tuple[int, ...]:
     comma-separated integers in ASCII digits.  The empty string is the
     empty word.
     """
+    _check_alphabet_size(k)
     if k <= 10:
         digits = "0123456789"[:k]
         symbols = []

@@ -175,6 +175,7 @@ def char_poly_mod(delta, m: int) -> list[int]:
     block costs O(k (n - i)^2) and the whole recursion O(k n^3).  It
     only adds and multiplies, so it is exact over Z/m for every m.
     """
+    _check_residues(m)
     n = len(delta)
     rows = _rows(delta)
     p = [1]

@@ -1,8 +1,10 @@
 """Ground truth by direct simulation of the tree action.
 
-Nothing in this module looks at incidence matrices or streams: levels
-of the tree are enumerated word by word, which makes these functions
-slow but independent cross-checks for the closed-form analysis.
+Nothing in this module looks at incidence matrices or streams: every
+word of a level is enumerated, its label or image read from a table
+of its state after the first half of the word, which makes these
+functions slow but independent cross-checks for the closed-form
+analysis.
 """
 
 from itertools import chain
@@ -28,17 +30,47 @@ class LevelOrbitReport(_Record):
         _set(self, "transitive", transitive)
 
 
-def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
-    """Images of all k^n words and section states of their parents.
+def _below(delta, s: int, depth: int):
+    """The states at the k^depth words below state s, in word order, lazily."""
+    states = (s,)
+    for _ in range(depth):
+        states = chain.from_iterable(map(delta.__getitem__, states))
+    return states
 
-    Words are their base-k indices, in lexicographic order; level j+1
-    tables come from level j by appending one symbol, so the whole run
-    costs O(k^n); a level of more than ``DEFAULT_WORD_CAP`` words is
-    refused before any of it.  The image of word u followed by a is
-    img[u] followed by out[s][a], where s is the state reached at u, so
-    each output row is read whole.  The states returned are those of the
-    k^(n-1) words of level n-1 (of the root at level 0): a level-n word
-    is its parent followed by a symbol, so no caller needs level n's.
+
+def _walk(g: InitialAutomaton, s: int, depth: int) -> tuple[list[int], list[int]]:
+    """Images (base-k indices) and states of the k^depth words below state s.
+
+    Both lists are in word order; the image of word u followed by a is
+    img[u] followed by out[t][a], where t is the state reached at u.
+    """
+    k, delta, out = g.k, g.automaton.delta, g.automaton.out
+    img, states = [0], [s]
+    for _ in range(depth):
+        img = [i * k + b for i, t in zip(img, states) for b in out[t]]
+        states = [u for t in states for u in delta[t]]
+    return img, states
+
+
+def _level_tables(g: InitialAutomaton, n: int, residues: tuple[int, ...] | None = None):
+    """The k^n words of level n in lexicographic order: their labels or images.
+
+    Given one residue per state, this is the lazy stream of the residues
+    at the words' sections; without, the list of the words' images, each
+    as its base-k index.  A level of more than ``DEFAULT_WORD_CAP`` words
+    is refused before any work.
+
+    The level is met in the middle: a word is a prefix u of length n - d
+    and a suffix v of length d, where d = n // 2, lowered while
+    n_states * k^d exceeds k^(n-d), but never below 1 once n >= 1.  Only
+    the k^(n-d) prefixes are walked.  Each state has a table over its
+    k^d suffixes, and the words below u read the table of the state s
+    reached at u whole: the label of u v is the label at v below s, and
+    the image of u v is the image of u followed by that of v under s.
+    So the tables hold n_states * k^d <= max(n_states * k, k^(n-d))
+    entries.  The label stream walks its prefixes lazily; the images
+    also hold the k^(n-d) prefix images and states, besides the k^n
+    images themselves.
     """
     k = g.k
     _check_index(n, "level")
@@ -48,15 +80,17 @@ def _level_tables(g: InitialAutomaton, n: int, with_images: bool):
         raise LevelTooLargeError(
             f"level {n} holds {size} words, above the cap of {DEFAULT_WORD_CAP}"
         )
-    delta, out = g.automaton.delta, g.automaton.out
-    img = [0] if with_images else None
-    states = [g.initial]
-    for level in range(1, n + 1):
-        if with_images:
-            img = [i * k + b for i, s in zip(img, states) for b in out[s]]
-        if level < n:
-            states = [t for s in states for t in delta[s]]
-    return img, states
+    delta = g.automaton.delta
+    d = min(n, max(1, n // 2))
+    while d > 1 and len(delta) * k**d > k ** (n - d):
+        d -= 1
+    if residues is not None:
+        rows = [tuple(map(residues.__getitem__, _below(delta, s, d))) for s in range(len(delta))]
+        return chain.from_iterable(map(rows.__getitem__, _below(delta, g.initial, n - d)))
+    rows = [_walk(g, s, d)[0] for s in range(len(delta))]
+    img, states = _walk(g, g.initial, n - d)
+    # each prefix image is scaled once, not once per word below it
+    return [i + j for i, s in zip(map((k**d).__mul__, img), states) for j in rows[s]]
 
 
 def level_transitive(g: InitialAutomaton, n: int) -> LevelOrbitReport:
@@ -66,8 +100,14 @@ def level_transitive(g: InitialAutomaton, n: int) -> LevelOrbitReport:
     permutation, so the level map is one too and its orbits are its
     cycles.  Walking each cycle once from its least unvisited word
     gives the orbit count and the largest orbit in one linear pass.
+    The image list is met in the middle (see ``_level_tables``): only
+    the k^(n-d) prefixes are walked, where d = n // 2 is lowered while
+    n_states * k^d exceeds k^(n-d), and each state's images of its k^d
+    suffixes are tabled.  So besides the k^n images and a visited byte
+    per word, the prefix images, the prefix states and the tables hold
+    at most max(n_states * k, k^(n-d)) entries each.
     """
-    img, _ = _level_tables(g, n, with_images=True)
+    img = _level_tables(g, n)
     seen = bytearray(len(img))
     count = largest = 0
     start = seen.find(0)
@@ -92,18 +132,16 @@ def abelian_coefficient_bruteforce(
 ) -> int:
     """Sum of the section labels over all words of length n, mod m.
 
-    Walks the transition table to every parent word of the level.  The
-    row of a state s holds the chosen label component at its k children
-    (delta[s]) in symbol order, so chaining the rows of the parents in
-    word order yields the label of every level-n word once, in order.
+    Walks the transition table lazily to every prefix word of length
+    n - d, where d = n // 2, lowered while n_states * k^d exceeds
+    k^(n-d).  The row of a state s holds the chosen label component at
+    its k^d descendants in word order, so chaining the rows of the
+    prefixes in word order yields the label of every level-n word once,
+    in order; no per-state total is formed.  The rows hold at most
+    max(n_states * k, k^(n-d)) entries, and the walk no list of words.
     """
     m, residues = abelian_vector(labels_or_shifts(g.automaton, labels), component)
-    _, parents = _level_tables(g, n, with_images=False)
-    if n == 0:
-        return residues[g.initial] % m
-    # a list, since list.__getitem__ maps faster than a tuple's slot wrapper
-    rows = [tuple(residues[t] for t in children) for children in g.automaton.delta]
-    return sum(chain.from_iterable(map(rows.__getitem__, parents))) % m
+    return sum(_level_tables(g, n, residues)) % m
 
 
 def conjugate_by(h: InitialAutomaton, g: InitialAutomaton) -> InitialAutomaton:

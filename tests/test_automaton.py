@@ -335,7 +335,7 @@ NO_INITIAL_STATE = {"AutomatonFile", "serialize_automaton", "to_dot"}
 def test_every_owner_words_the_index_rule_alike(owner):
     # the CLI's parser yields only ints, so only library callers can pass these
     call, role, bound, error = INDEX_OWNERS[owner]
-    for v in (0.5, "1", None):
+    for v in (0.5, "1", None, True):
         if v is None and owner in NO_INITIAL_STATE:
             call(v)
             continue
@@ -512,6 +512,15 @@ def test_parse_word_digits():
     with pytest.raises(BadSymbolError) as err:
         parse_word("012", 2)
     assert err.value.position == 2
+    # the alphabet size is checked once, as the machines check it
+    for text, k, message in (
+        ("01", 2.0, "alphabet size 2.0 is not an integer"),
+        ("0", 1, "alphabet size must be at least 2, got 1"),
+    ):
+        with pytest.raises(AutomatonError) as err:
+            parse_word(text, k)
+        assert type(err.value) is AutomatonError
+        assert str(err.value) == message
 
 
 def test_parse_word_large_alphabet():

@@ -200,6 +200,15 @@ def test_char_poly_examples(odometer, lamp_b):
     assert char_poly_mod(odometer.automaton.delta, 2) == [1, 1, 0]
     assert char_poly_mod(lamp_b.automaton.delta, 5) == [1, 3, 0]
     assert char_poly_mod(((0, 0, 0),), 4) == [1, 1]
+    # the modulus follows the residue rule: no floats out, no ZeroDivisionError
+    for m, message in (
+        (2.0, "modulus 2.0 is not an integer"),
+        (0, "modulus 0 must be at least 2"),
+    ):
+        with pytest.raises(AutomatonError) as err:
+            char_poly_mod(odometer.automaton.delta, m)
+        assert type(err.value) is AutomatonError
+        assert str(err.value) == message
 
 
 def test_char_poly_matches_sympy(rng):

@@ -6,6 +6,7 @@ calling apply on every word of a level, one word at a time.
 """
 
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -78,12 +79,25 @@ def test_level_zero_is_always_a_single_orbit(lamp_a):
     assert level_transitive(lamp_a, 0) == LevelOrbitReport(0, 1, 1, True)
 
 
+# the deepest level each alphabet is tested to: at k=2 and level 8 a machine
+# of up to 4 states has suffix tables of depth 3
+TOP_LEVEL = {2: 8, 3: 6, 4: 5}
+
+
+def _many_states(rng):
+    """Machines of more states than k^(n/2) at their top level, so the suffix depth is lowered."""
+    return (corpus.random_cyclic(rng, k, 40, min_states=30) for k in (2, 3))
+
+
 def test_orbit_report_agrees_with_apply_recount(rng):
     unequal = 0
+    cases = []
     for _ in range(60):
         k = rng.choice([2, 3, 4])
         g = corpus.random_invertible(rng, k, max_states=3)
-        n = rng.randint(0, 5)
+        cases.append((g, rng.randint(0, TOP_LEVEL[k])))
+    for g, n in cases + [(g, TOP_LEVEL[g.k]) for g in _many_states(rng)]:
+        k = g.k
         sizes = _orbit_sizes_by_apply(g, n)
         report = level_transitive(g, n)
         assert sum(sizes) == k**n
@@ -164,14 +178,14 @@ def test_bruteforce_matches_the_closed_form_stream(rng):
 def test_bruteforce_is_the_label_sum_over_every_word(rng):
     # any invertible machine, not only cyclic ones, and a modulus past
     # 2^64: the level sum is the label at each word's section, added up
-    for _ in range(60):
-        k = rng.randint(2, 6)
-        g = corpus.random_invertible(rng, k, max_states=12)
+    machines = (corpus.random_invertible(rng, rng.randint(2, 6), max_states=12) for _ in range(60))
+    for g in itertools.chain(machines, _many_states(rng)):
+        k = g.k
         big = rng.randrange(2**64 + 1, 2**80)
         moduli = rng.choice([(big,), (rng.randint(2, 12), big), (big, rng.randint(2, 12))])
         labels = corpus.random_labels(rng, g.automaton.n_states, moduli)
         for component, m in enumerate(moduli):
-            for n in range(5):
+            for n in range(TOP_LEVEL.get(k, 4) + 1):
                 words = itertools.product(range(k), repeat=n)
                 expected = sum(labels.labels[g.section(w).initial][component] for w in words)
                 assert abelian_coefficient_bruteforce(g, n, labels, component) == expected % m
@@ -189,6 +203,25 @@ def test_level_sum_holds_less_than_a_pointer_per_word(rng):
         tracemalloc.stop()
     assert peak < 6**7 * 4
     assert got == series_stream(g).term(7)
+
+
+def test_level_sum_on_many_states_holds_less_than_its_prefix_states():
+    # 2,002 states at level 16: suffix tables of depth 8 would hold 2002 * 2^8
+    # entries, so the depth is lowered until they hold no more than the
+    # prefixes; the labels are made before tracing, so the peak is the walk's
+    g = corpus.tail_flip(2000)
+    labels = AbelianLabels((2,), tuple((row[0],) for row in g.automaton.out))
+    n = 16
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = abelian_coefficient_bruteforce(g, n, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof([0] * 2 ** (n - 1))
+    # every level-16 word leads to the copying state s16, whose label is 0
+    assert got == 0
 
 
 def test_bruteforce_rejects_bad_label_requests():
