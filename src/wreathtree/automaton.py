@@ -15,9 +15,11 @@ analysis modules consume.
 """
 
 import re
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAMES_RE = re.compile(r"[A-Za-z0-9_]+(?:\n[A-Za-z0-9_]+)*")  # names, one a line
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
@@ -91,15 +93,20 @@ def _not_integer(role: str, value) -> AutomatonError:
     return AutomatonError(f"{role} {value!r} is not an integer")
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: True is an int, but no index, symbol or residue."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_residues(m: int, role: str = "", values=()) -> None:
     """Raise AutomatonError unless m is an integer >= 2 and every value one in 0 .. m-1."""
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise _not_integer("modulus", m)
     if m < 2:
         raise AutomatonError(f"modulus {m} must be at least 2")
     for v in values:
-        if not (isinstance(v, int) and 0 <= v < m):
-            fault = f"out of range mod {m}" if isinstance(v, int) else "not an integer"
+        if not (_is_int(v) and 0 <= v < m):
+            fault = f"out of range mod {m}" if _is_int(v) else "not an integer"
             raise AutomatonError(f"{role} {v!r} is {fault}")
 
 
@@ -109,7 +116,7 @@ class NegativeIndexError(AutomatonError):
 
 def _check_index(value, role: str, bound: int | None = None, error=NegativeIndexError) -> int:
     """value, once checked to be an integer >= 0 and, given a bound, below it."""
-    if not isinstance(value, int) or isinstance(value, bool):  # True is an int, not an index
+    if not _is_int(value):
         raise _not_integer(role, value)
     if value < 0 or bound is not None and value >= bound:
         raise error(f"{role} {value} is {'negative' if bound is None else 'out of range'}")
@@ -118,7 +125,7 @@ def _check_index(value, role: str, bound: int | None = None, error=NegativeIndex
 
 def _check_alphabet_size(k: int) -> None:
     """Raise AutomatonError unless k is an integer at least 2."""
-    if not isinstance(k, int):
+    if not _is_int(k):
         raise _not_integer("alphabet size", k)
     if k < 2:
         raise AutomatonError(f"alphabet size must be at least 2, got {k}")
@@ -199,41 +206,38 @@ class MealyAutomaton(_Record):
     def __init__(self, k: int, names, delta, out):
         _set(self, "k", k)
         _set(self, "names", tuple(names))
-        _set(self, "delta", tuple(tuple(row) for row in delta))
-        _set(self, "out", tuple(tuple(row) for row in out))
+        _set(self, "delta", tuple(map(tuple, delta)))
+        _set(self, "out", tuple(map(tuple, out)))
         self._check()
 
     def _check(self):
-        _check_alphabet_size(self.k)
-        n = len(self.names)
+        k, names, delta, out = self.k, self.names, self.delta, self.out
+        _check_alphabet_size(k)
+        n = len(names)
         if n == 0:
             raise AutomatonError("an automaton needs at least one state")
-        if len(set(self.names)) != n:
+        if len(set(names)) != n:
             raise AutomatonError("duplicate state names")
-        _check_names(self.names)
-        if len(self.delta) != n or len(self.out) != n:
+        text = "\n".join(names) if all(map(str.__instancecheck__, names)) else ""
+        if text.count("\n") != n - 1 or not _NAMES_RE.fullmatch(text):  # all names at once
+            _check_names(names)  # names the first bad one
+        if len(delta) != n or len(out) != n:
             raise AutomatonError("delta and out need one row per state")
-        for q, (drow, orow) in enumerate(zip(self.delta, self.out)):
-            if len(drow) != self.k or len(orow) != self.k:
-                raise AutomatonError(
-                    f"rows of state '{self.names[q]}' must have {self.k} entries"
-                )
-            for t in drow:
-                if not (isinstance(t, int) and 0 <= t < n):
+        for q, (drow, orow) in enumerate(zip(delta, out)):
+            if len(drow) != k or len(orow) != k:
+                raise AutomatonError(f"rows of state '{names[q]}' must have {k} entries")
+            for t in drow:  # a plain int is cleared without the call
+                if not (t.__class__ is int or _is_int(t)) or not 0 <= t < n:
                     a = next(a for a, s in enumerate(drow) if s is t)
-                    fault = "out of range" if isinstance(t, int) else f"not an integer: {t!r}"
-                    raise AutomatonError(
-                        f"transition of state '{self.names[q]}' at {a} is {fault}"
-                    )
-        alphabet = list(range(self.k))
-        bad = {
-            row
-            for row in set(self.out)
-            if sorted(row) != alphabet or not all(map(int.__instancecheck__, row))
-        }
-        if bad:
-            q = next(q for q, row in enumerate(self.out) if row in bad)
-            raise BadPermutationError(self.names[q], self.out[q])
+                    fault = "out of range" if _is_int(t) else f"not an integer: {t!r}"
+                    raise AutomatonError(f"transition of state '{names[q]}' at {a} is {fault}")
+        rows = dict(zip(map(id, out), out)).values()  # by identity: (1.0, 0) == (1, 0)
+        alphabet = list(range(k))
+        types = {*map(type, chain.from_iterable(rows))}
+        if types != {int} or any(sorted(row) != alphabet for row in set(rows)):
+            for q, row in enumerate(out):  # only a fault, or a subclass of int, comes here
+                if not all(map(_is_int, row)) or sorted(row) != alphabet:
+                    raise BadPermutationError(names[q], row)
 
     @property
     def n_states(self) -> int:
@@ -251,7 +255,7 @@ class AbelianLabels(_Record):
 
     def __init__(self, moduli, labels):
         _set(self, "moduli", tuple(moduli))
-        _set(self, "labels", tuple(tuple(row) for row in labels))
+        _set(self, "labels", tuple(map(tuple, labels)))
         self._check()
 
     def _check(self):
@@ -265,6 +269,14 @@ class AbelianLabels(_Record):
             _check_residues(m, "label component", [row[i] for row in self.labels])
 
 
+def _shifts(m: MealyAutomaton) -> tuple[int, tuple[int, ...]]:
+    """(k, the shift e of each state), if every state writes a -> a+e mod k."""
+    for q, row in enumerate(m.out):
+        if any(b != (a + row[0]) % m.k for a, b in enumerate(row)):
+            raise NotCyclicError(m.names[q])
+    return m.k, tuple(row[0] for row in m.out)
+
+
 def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
     """Derive labels mod k for an automaton whose output rows are shifts.
 
@@ -272,14 +284,8 @@ def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
     returned labels hold those shifts, one residue per state, with the
     single modulus k.
     """
-    shifts = []
-    for q in range(m.n_states):
-        row = m.out[q]
-        e = row[0]
-        if any(row[a] != (a + e) % m.k for a in range(m.k)):
-            raise NotCyclicError(m.names[q])
-        shifts.append((e,))
-    return AbelianLabels((m.k,), tuple(shifts))
+    k, shifts = _shifts(m)
+    return AbelianLabels((k,), tuple((e,) for e in shifts))
 
 
 def labels_or_shifts(m: MealyAutomaton, labels: AbelianLabels | None) -> AbelianLabels:
@@ -287,9 +293,7 @@ def labels_or_shifts(m: MealyAutomaton, labels: AbelianLabels | None) -> Abelian
     if labels is None:
         return validate_cyclic(m)
     if len(labels.labels) != m.n_states:
-        raise DimensionMismatchError(
-            f"{len(labels.labels)} label rows for {m.n_states} states"
-        )
+        raise DimensionMismatchError(f"{len(labels.labels)} label rows for {m.n_states} states")
     return labels
 
 
@@ -333,9 +337,7 @@ def parse_word(text: str, k: int) -> tuple[int, ...]:
 
 
 def format_word(symbols, k: int) -> str:
-    if k <= 10:
-        return "".join(str(s) for s in symbols)
-    return ",".join(str(s) for s in symbols)
+    return ("" if k <= 10 else ",").join(map(str, symbols))
 
 
 def _coerce_word(word, k: int):
@@ -349,18 +351,25 @@ def _coerce_word(word, k: int):
     return symbols, False
 
 
-def _dedupe_names(bases) -> tuple[str, ...]:
+def _dedupe_names(bases: list[str]) -> list[str]:
+    """The names, each repeat of an earlier one suffixed _2, _3, ... until it is new."""
+    if len(set(bases)) == len(bases):
+        return bases
     used = set()
     names = []
     for base in bases:
-        name = base
-        i = 2
+        name, i = base, 2
         while name in used:
-            name = f"{base}_{i}"
-            i += 1
+            name, i = f"{base}_{i}", i + 1
         used.add(name)
         names.append(name)
-    return tuple(names)
+    return names
+
+
+def _row_ids(rows) -> tuple[list[int], list[tuple]]:
+    """Each row's index among the distinct rows, and those rows in first-seen order."""
+    ids = {}
+    return [ids.setdefault(row, len(ids)) for row in rows], list(ids)
 
 
 def _behavior_classes(delta, out):
@@ -375,8 +384,7 @@ def _behavior_classes(delta, out):
     a round per state, about 1.6 s at 2,002 states (Python 3.11, one
     core of a 2-core x86-64 Linux host).
     """
-    ids = {}
-    labels = [ids.setdefault(row, len(ids)) for row in out]
+    labels = _row_ids(out)[0]
     while True:
         ids = {}
         at = labels.__getitem__
@@ -438,49 +446,56 @@ class InitialAutomaton(_Record):
 
         Labels of the transition diagram swap sides: where a state reads
         a and writes b, the inverse state reads b, writes a and moves to
-        the inverse of the original successor at a.
+        the inverse of the original successor at a.  Each distinct output
+        row is inverted once; its states share the inverse and one
+        ``itemgetter`` that reorders their successor rows, with no sort.
         """
         m = self.automaton
-        delta = []
-        out = []
-        for drow, orow in zip(m.delta, m.out):
-            # the symbols sorted by what they are written as: inv[b] writes b
-            inv = tuple(sorted(range(m.k), key=orow.__getitem__))
-            out.append(inv)
-            delta.append(tuple([drow[a] for a in inv]))
-        inverted = MealyAutomaton(m.k, m.names, tuple(delta), tuple(out))
-        return InitialAutomaton(inverted, self.initial)
+        ids, rows = _row_ids(m.out)
+        inverses = [tuple(sorted(range(m.k), key=row.__getitem__)) for row in rows]
+        reorder = [itemgetter(*inv) for inv in inverses]
+        out = list(map(inverses.__getitem__, ids))
+        delta = [reorder[i](drow) for i, drow in zip(ids, m.delta)]
+        return InitialAutomaton(MealyAutomaton(m.k, m.names, delta, out), self.initial)
 
     def compose(self, other: "InitialAutomaton") -> "InitialAutomaton":
         """The machine computing ``self(other(w))``.
 
-        Product construction on the reachable state pairs (p, q): the
-        pair writes p's output of q's output and, on reading a, moves to
-        (p at q's output of a, q at a).
+        Product construction on the reachable state pairs (p, q), numbered
+        breadth-first: the pair writes p's output of q's output and, on
+        reading a, moves to (p at q's output of a, q at a).  A pair is keyed
+        by the integer p * n_g + q; its output row is shared from a table on
+        the ids of p's and q's distinct rows, filled as met, so it holds at
+        most min(k!, n_f) * min(k!, n_g) rows and no more than the product's
+        states.  A state costs k small-integer lookups and one new tuple.
         """
         _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
-        k = self.k
-        order = [(self.initial, other.initial)]
+        n_g = g.n_states
+        g_ids, g_rows = _row_ids(g.out)
+        f_ids = [i * len(g_rows) for i in _row_ids(f.out)[0]]  # + g's row id: a table key
+        table = {}
+        order = [self.initial * n_g + other.initial]
         index = {order[0]: 0}
-        delta = []
-        out = []
-        for p, q in order:
-            drow = []
-            orow = []
-            for a in range(k):
-                b = g.out[q][a]
-                orow.append(f.out[p][b])
-                pair = (f.delta[p][b], g.delta[q][a])
-                if pair not in index:
-                    index[pair] = len(order)
+        delta, out = [], []
+        for key in order:
+            p, q = divmod(key, n_g)
+            f_delta, g_out = f.delta[p], g.out[q]
+            row = []
+            for b, t in zip(g_out, g.delta[q]):
+                pair = f_delta[b] * n_g + t
+                i = index.get(pair)
+                if i is None:
+                    i = index[pair] = len(order)
                     order.append(pair)
-                drow.append(index[pair])
-            delta.append(tuple(drow))
-            out.append(tuple(orow))
-        names = _dedupe_names(f"{f.names[p]}_{g.names[q]}" for p, q in order)
-        product = MealyAutomaton(k, names, tuple(delta), tuple(out))
-        return InitialAutomaton(product, 0)
+                row.append(i)
+            delta.append(tuple(row))
+            rows = f_ids[p] + g_ids[q]
+            if rows not in table:
+                table[rows] = tuple(map(f.out[p].__getitem__, g_out))
+            out.append(table[rows])
+        names = _dedupe_names([f"{f.names[key // n_g]}_{g.names[key % n_g]}" for key in order])
+        return InitialAutomaton(MealyAutomaton(self.k, names, delta, out), 0)
 
     def minimize(self) -> "InitialAutomaton":
         """The smallest machine computing the same tree map.
@@ -719,10 +734,8 @@ def serialize_automaton(
         lines.append(f"initial {m.names[initial]}")
     if labels is not None:
         lines.append("abelian " + " ".join(str(x) for x in labels.moduli))
-        for q in range(m.n_states):
-            lines.append(
-                f"label {m.names[q]} " + " ".join(str(c) for c in labels.labels[q])
-            )
+        for name, row in zip(m.names, labels.labels):
+            lines.append(f"label {name} " + " ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -738,11 +751,8 @@ def to_dot(m: MealyAutomaton, initial: int | None = None) -> str:
         lines.append(f'  "{start}" -> "{m.names[initial]}";')
     for name in m.names:
         lines.append(f'  "{name}" [shape=circle];')
-    for q in range(m.n_states):
-        for a in range(m.k):
-            target = m.names[m.delta[q][a]]
-            lines.append(
-                f'  "{m.names[q]}" -> "{target}" [label="{a}|{m.out[q][a]}"];'
-            )
+    for name, drow, orow in zip(m.names, m.delta, m.out):
+        for a, (t, b) in enumerate(zip(drow, orow)):
+            lines.append(f'  "{name}" -> "{m.names[t]}" [label="{a}|{b}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from .automaton import (
     InitialAutomaton,
     _check_alphabets,
     _check_residues,
+    _is_int,
     _Record,
     _set,
     labels_or_shifts,
@@ -161,7 +162,7 @@ def conjugate(f: InitialAutomaton, g: InitialAutomaton) -> ConjugacyVerdict:
 def _strip_mod(coeffs, m: int) -> tuple[int, ...]:
     reduced = []
     for c in coeffs:
-        if not isinstance(c, int):
+        if not _is_int(c):
             raise AutomatonError(f"coefficient {c!r} is not an integer")
         reduced.append(c % m)
     while reduced and reduced[-1] == 0:

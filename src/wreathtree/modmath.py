@@ -42,6 +42,7 @@ from .automaton import (
     _check_residues,
     _Record,
     _set,
+    _shifts,
     labels_or_shifts,
 )
 
@@ -109,6 +110,15 @@ def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[in
     return labels.moduli[component], tuple(row[component] for row in labels.labels)
 
 
+def _label_vector(g: InitialAutomaton, labels: AbelianLabels | None, component: int):
+    """(m, residues) of one label component, or with no labels the shifts mod k of g's states."""
+    if labels is None:
+        vector = _shifts(g.automaton)
+        _check_index(component, "component", 1, BadComponentError)  # shifts have one
+        return vector
+    return abelian_vector(labels_or_shifts(g.automaton, labels), component)
+
+
 def coefficient_stream(
     matrix: tuple,
     vector: tuple[int, tuple[int, ...]],
@@ -148,7 +158,7 @@ def series_stream(
     g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
 ) -> EventuallyPeriodicStream:
     """g's series as a stream: one label component, by default the shifts, from g.initial."""
-    vector = abelian_vector(labels_or_shifts(g.automaton, labels), component)
+    vector = _label_vector(g, labels, component)
     return coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
 
 
@@ -156,7 +166,7 @@ def series_terms(
     g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
 ):
     """g's series as (m, its terms one by one), with the same labels as ``series_stream``."""
-    m, v = abelian_vector(labels_or_shifts(g.automaton, labels), component)
+    m, v = _label_vector(g, labels, component)
     return m, map(itemgetter(g.initial), _iterates(incidence_matrix(g.automaton), v, m))
 
 

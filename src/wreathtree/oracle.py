@@ -9,9 +9,9 @@ analysis.
 
 from itertools import chain
 
-from .automaton import AbelianLabels, AutomatonError, InitialAutomaton, labels_or_shifts
+from .automaton import AbelianLabels, AutomatonError, InitialAutomaton
 from .automaton import _check_index, _Record, _set
-from .modmath import abelian_vector
+from .modmath import _label_vector
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -140,7 +140,7 @@ def abelian_coefficient_bruteforce(
     in order; no per-state total is formed.  The rows hold at most
     max(n_states * k, k^(n-d)) entries, and the walk no list of words.
     """
-    m, residues = abelian_vector(labels_or_shifts(g.automaton, labels), component)
+    m, residues = _label_vector(g, labels, component)
     return sum(_level_tables(g, n, residues)) % m
 
 

@@ -238,7 +238,12 @@ RESIDUE_OWNERS = {
 def test_every_owner_refuses_a_residue_that_is_not_an_integer(owner):
     # the parser reads ASCII digits only, so only library callers can pass these
     build, _, _, role = RESIDUE_OWNERS[owner]
-    for m, v, value in ((2.0, 0, "modulus 2.0"), (3, 0.5, f"{role or 'coefficient'} 0.5")):
+    for m, v, value in (
+        (2.0, 0, "modulus 2.0"),
+        (3, 0.5, f"{role or 'coefficient'} 0.5"),
+        (True, 0, "modulus True"),  # True is an int, but no residue
+        (3, True, f"{role or 'coefficient'} True"),
+    ):
         with pytest.raises(AutomatonError) as err:
             build(m, v)
         assert type(err.value) is AutomatonError
@@ -411,6 +416,183 @@ def test_output_rows_of_floats_are_not_permutations():
     # sorted((1.0, 0)) == [0, 1], so the permutation check alone let this through
     with pytest.raises(BadPermutationError, match=r"output row \(1\.0, 0\) of state 'a'"):
         MealyAutomaton(2, ("a",), ((0, 0),), ((1.0, 0),))
+
+
+# each malformed table the constructor refused when it looked at every name
+# and every transition one at a time: the error type and message it gave then
+OLD_REFUSALS = {
+    "alphabet-size-1": (
+        lambda: MealyAutomaton(1, ("a",), ((0,),), ((0,),)),
+        AutomatonError,
+        "alphabet size must be at least 2, got 1",
+    ),
+    "alphabet-size-float": (
+        lambda: MealyAutomaton(2.0, ("a",), ((0, 0),), ((1, 0),)),
+        AutomatonError,
+        "alphabet size 2.0 is not an integer",
+    ),
+    "no-states": (
+        lambda: MealyAutomaton(2, (), (), ()),
+        AutomatonError,
+        "an automaton needs at least one state",
+    ),
+    "duplicate-names": (
+        lambda: MealyAutomaton(2, ("a", "a"), ((0, 0), (0, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "duplicate state names",
+    ),
+    "name-with-dash": (
+        lambda: MealyAutomaton(2, ("a", "a-b"), ((0, 0), (0, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "bad state name 'a-b'",
+    ),
+    "name-not-a-string": (
+        lambda: MealyAutomaton(2, ("a", 3), ((0, 0), (0, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "bad state name 3",
+    ),
+    "name-with-newline": (
+        lambda: MealyAutomaton(2, ("a", "b\nc"), ((0, 0), (0, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "bad state name 'b\\nc'",
+    ),
+    "name-with-trailing-newline": (
+        lambda: MealyAutomaton(2, ("a\n", "b"), ((0, 0), (0, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "bad state name 'a\\n'",
+    ),
+    "empty-name": (
+        lambda: MealyAutomaton(2, ("a", ""), ((0, 0), (0, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "bad state name ''",
+    ),
+    "first-of-two-bad-names": (
+        lambda: MealyAutomaton(2, ("a", "b c", "d-e"), ((0, 0),) * 3, ((0, 1),) * 3),
+        AutomatonError,
+        "bad state name 'b c'",
+    ),
+    "missing-delta-row": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0),), ((0, 1), (0, 1))),
+        AutomatonError,
+        "delta and out need one row per state",
+    ),
+    "short-delta-row": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (0,)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "rows of state 'b' must have 2 entries",
+    ),
+    "long-output-row": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (0, 0)), ((0, 1), (0, 1, 2))),
+        AutomatonError,
+        "rows of state 'b' must have 2 entries",
+    ),
+    "target-too-large": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (0, 2)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "transition of state 'b' at 1 is out of range",
+    ),
+    "target-negative": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (-1, 0)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "transition of state 'b' at 0 is out of range",
+    ),
+    "target-float": (
+        lambda: MealyAutomaton(2, ("a",), ((0, 0.0),), ((1, 0),)),
+        AutomatonError,
+        "transition of state 'a' at 1 is not an integer: 0.0",
+    ),
+    "target-string": (
+        lambda: MealyAutomaton(2, ("a",), (("0", 0),), ((1, 0),)),
+        AutomatonError,
+        "transition of state 'a' at 0 is not an integer: '0'",
+    ),
+    "row-length-before-later-target": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0, 0), (0, 5)), ((0, 1), (0, 1))),
+        AutomatonError,
+        "rows of state 'a' must have 2 entries",
+    ),
+    "target-before-output-row": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (0, 9)), ((0, 0), (0, 1))),
+        AutomatonError,
+        "transition of state 'b' at 1 is out of range",
+    ),
+    "output-row-repeats": (
+        lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (0, 0)), ((0, 1), (0, 0))),
+        BadPermutationError,
+        "output row (0, 0) of state 'b' is not a permutation of the alphabet",
+    ),
+    "output-symbol-too-large": (
+        lambda: MealyAutomaton(2, ("a",), ((0, 0),), ((0, 5),)),
+        BadPermutationError,
+        "output row (0, 5) of state 'a' is not a permutation of the alphabet",
+    ),
+    "output-row-of-floats": (
+        lambda: MealyAutomaton(2, ("a",), ((0, 0),), ((1.0, 0),)),
+        BadPermutationError,
+        "output row (1.0, 0) of state 'a' is not a permutation of the alphabet",
+    ),
+    "first-bad-output-row": (
+        lambda: MealyAutomaton(
+            2, ("a", "b", "c", "d"), ((0, 0),) * 4, ((0, 1), (1, 1), (0, 1), (0, 0))
+        ),
+        BadPermutationError,
+        "output row (1, 1) of state 'b' is not a permutation of the alphabet",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OLD_REFUSALS)
+def test_malformed_tables_are_refused_as_before(case):
+    build, error, message = OLD_REFUSALS[case]
+    with pytest.raises(AutomatonError) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (  # True is an int, but no state index
+            lambda: MealyAutomaton(2, ("a", "b"), ((True, 0), (1, 1)), ((False, True), (1, 0))),
+            "transition of state 'a' at 0 is not an integer: True",
+        ),
+        (
+            lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (1, 1)), ((0, 1), (False, True))),
+            "output row (False, True) of state 'b' is not a permutation of the alphabet",
+        ),
+        (  # the bool row comes first, so a set of rows would keep it
+            lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (1, 1)), ((False, True), (0, 1))),
+            "output row (False, True) of state 'a' is not a permutation of the alphabet",
+        ),
+        (  # (1.0, 0) == (1, 0): an equal row met first must not hide it
+            lambda: MealyAutomaton(2, ("a", "b"), ((0, 0), (1, 1)), ((1, 0), (1.0, 0))),
+            "output row (1.0, 0) of state 'b' is not a permutation of the alphabet",
+        ),
+        (
+            lambda: MealyAutomaton(True, ("a",), ((0,),), ((0,),)),
+            "alphabet size True is not an integer",
+        ),
+        (  # sorting this row raised a TypeError
+            lambda: MealyAutomaton(2, ("a",), ((0, 0),), (("x", 0),)),
+            "output row ('x', 0) of state 'a' is not a permutation of the alphabet",
+        ),
+    ],
+    ids=["bool-target", "bool-row", "bool-row-first", "float-after-equal", "bool-k", "str-symbol"],
+)
+def test_machines_refuse_bools_and_rows_equal_to_good_ones(build, message):
+    with pytest.raises(AutomatonError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_int_subclasses_still_pass_the_table_check():
+    # only bool is refused among the subclasses of int
+    class Symbol(int):
+        pass
+
+    m = MealyAutomaton(2, ("a",), ((Symbol(0), 0),), ((Symbol(1), 0),))
+    assert m.delta == ((0, 0),) and m.out == ((1, 0),)
 
 
 @pytest.mark.parametrize(
@@ -718,6 +900,87 @@ def test_composed_shift_labels_add(rng):
         lg = validate_cyclic(g.automaton).labels[g.initial][0]
         lfg = validate_cyclic(fg.automaton).labels[fg.initial][0]
         assert lfg == (lf + lg) % k
+
+
+def _reference_compose(f, g):
+    """(names, delta, out, initial) of f(g(.)) by the first product loop, over tuple keys."""
+    fa, ga = f.automaton, g.automaton
+    order = [(f.initial, g.initial)]
+    index = {order[0]: 0}
+    delta, out = [], []
+    for p, q in order:
+        drow, orow = [], []
+        for a in range(f.k):
+            b = ga.out[q][a]
+            orow.append(fa.out[p][b])
+            pair = (fa.delta[p][b], ga.delta[q][a])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            drow.append(index[pair])
+        delta.append(tuple(drow))
+        out.append(tuple(orow))
+    used, names = set(), []
+    for p, q in order:
+        base = name = f"{fa.names[p]}_{ga.names[q]}"
+        i = 2
+        while name in used:
+            name = f"{base}_{i}"
+            i += 1
+        used.add(name)
+        names.append(name)
+    return tuple(names), tuple(delta), tuple(out), 0
+
+
+def _reference_inverse(g):
+    """(names, delta, out, initial) of g's inverse, each output row sorted on its own."""
+    m = g.automaton
+    out = tuple(tuple(sorted(range(m.k), key=row.__getitem__)) for row in m.out)
+    delta = tuple(tuple(drow[a] for a in inv) for drow, inv in zip(m.delta, out))
+    return m.names, delta, out, g.initial
+
+
+def _bits_name(i):
+    # 1 -> "1", 3 -> "1_1": a pair (3, 1) and a pair (1, 3) both read 1_1_1
+    return "_".join(format(i, "b"))
+
+
+def _random_table_machine(rng, k, n):
+    """A machine of n states whose output rows come from a pool of 1 to 24 random permutations."""
+    pool = [tuple(rng.sample(range(k), k)) for _ in range(rng.randint(1, 24))]
+    delta = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(n)]
+    out = [rng.choice(pool) for _ in range(n)]
+    names = [_bits_name(i) if rng.random() < 0.5 else f"q{i}" for i in range(n)]
+    return InitialAutomaton(MealyAutomaton(k, names, delta, out), rng.randrange(n))
+
+
+def _parts(g):
+    return g.automaton.names, g.automaton.delta, g.automaton.out, g.initial
+
+
+def test_compose_and_inverse_keep_the_reference_numbering(rng):
+    renamed = 0
+    for _ in range(150):
+        k = rng.choice([2, 3, 4])
+        f = _random_table_machine(rng, k, rng.randint(1, 30))
+        g = _random_table_machine(rng, k, rng.randint(1, 30))
+        for x, y in ((f, g), (g, f)):
+            want = _reference_compose(x, y)
+            assert _parts(x.compose(y)) == want
+            # no state name ends in _2, so only a renamed collision does
+            renamed += any(name.endswith("_2") for name in want[0])
+        assert _parts(f.inverse()) == _reference_inverse(f)
+    assert renamed > 10
+
+
+def test_compose_numbering_with_colliding_names_matches_the_reference():
+    # a_b with c and a with b_c both read a_b_c, in either order of the pairs
+    for f_names, g_names in ((("a_b", "a"), ("c", "b_c")), (("a", "a_b"), ("b_c", "c"))):
+        f = InitialAutomaton(MealyAutomaton(2, f_names, ((1, 1), (0, 1)), ((0, 1), (1, 0))), 0)
+        g = InitialAutomaton(MealyAutomaton(2, g_names, ((1, 0), (1, 1)), ((0, 1), (1, 0))), 0)
+        for x, y in ((f, g), (g, f)):
+            assert _parts(x.compose(y)) == _reference_compose(x, y)
+        assert "a_b_c_2" in _parts(f.compose(g))[0]
 
 
 # ---------- minimization and equivalence ----------

@@ -208,20 +208,22 @@ def test_level_sum_holds_less_than_a_pointer_per_word(rng):
 def test_level_sum_on_many_states_holds_less_than_its_prefix_states():
     # 2,002 states at level 16: suffix tables of depth 8 would hold 2002 * 2^8
     # entries, so the depth is lowered until they hold no more than the
-    # prefixes; the labels are made before tracing, so the peak is the walk's
+    # prefixes; given labels are made before tracing, and the default shifts
+    # are read as one residue per state, with no label record of 1-tuples
     g = corpus.tail_flip(2000)
     labels = AbelianLabels((2,), tuple((row[0],) for row in g.automaton.out))
     n = 16
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        got = abelian_coefficient_bruteforce(g, n, labels)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < sys.getsizeof([0] * 2 ** (n - 1))
-    # every level-16 word leads to the copying state s16, whose label is 0
-    assert got == 0
+    for given in (labels, None):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = abelian_coefficient_bruteforce(g, n, given)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sys.getsizeof([0] * 2 ** (n - 1))
+        # every level-16 word leads to the copying state s16, whose label is 0
+        assert got == 0
 
 
 def test_bruteforce_rejects_bad_label_requests():
@@ -229,6 +231,11 @@ def test_bruteforce_rejects_bad_label_requests():
     with pytest.raises(NotCyclicError) as info:
         abelian_coefficient_bruteforce(m, 1)
     assert info.value.state == "s"
+    # with no labels the rows are judged before the component
+    with pytest.raises(NotCyclicError):
+        abelian_coefficient_bruteforce(m, 1, component=1)
+    with pytest.raises(NotCyclicError):
+        series_stream(m, None, 1)
     labels = AbelianLabels((2,), (((1,),)))
     with pytest.raises(BadComponentError):
         abelian_coefficient_bruteforce(m, 1, labels, component=1)
