@@ -22,6 +22,7 @@ from .automaton import (
     AutomatonError,
     InitialAutomaton,
     MealyAutomaton,
+    abelian_vector,
     parse_automaton,
     serialize_automaton,
     to_dot,
@@ -30,7 +31,6 @@ from .automaton import (
 from .modmath import (
     DEFAULT_VISIT_CAP,
     IterationCapError,
-    abelian_vector,
     coefficient_stream,
     incidence_matrix,
     series_expand,

@@ -216,11 +216,11 @@ class MealyAutomaton(_Record):
         n = len(names)
         if n == 0:
             raise AutomatonError("an automaton needs at least one state")
-        if len(set(names)) != n:
-            raise AutomatonError("duplicate state names")
         text = "\n".join(names) if all(map(str.__instancecheck__, names)) else ""
         if text.count("\n") != n - 1 or not _NAMES_RE.fullmatch(text):  # all names at once
             _check_names(names)  # names the first bad one
+        if len(set(names)) != n:  # hashable now: every name is a string
+            raise AutomatonError("duplicate state names")
         if len(delta) != n or len(out) != n:
             raise AutomatonError("delta and out need one row per state")
         for q, (drow, orow) in enumerate(zip(delta, out)):
@@ -269,12 +269,36 @@ class AbelianLabels(_Record):
             _check_residues(m, "label component", [row[i] for row in self.labels])
 
 
-def _shifts(m: MealyAutomaton) -> tuple[int, tuple[int, ...]]:
-    """(k, the shift e of each state), if every state writes a -> a+e mod k."""
+def _moduli(m: MealyAutomaton, labels: AbelianLabels | None) -> tuple[int, ...]:
+    """The moduli of the labels, which need one row per state, or (k,) for the shifts."""
+    if labels is None:
+        return (m.k,)
+    if len(labels.labels) != m.n_states:
+        raise DimensionMismatchError(f"{len(labels.labels)} label rows for {m.n_states} states")
+    return labels.moduli
+
+
+def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[int, ...]]:
+    """One chosen component of the per-state labels as (modulus, residues)."""
+    _check_index(component, "component", len(labels.moduli), BadComponentError)
+    return labels.moduli[component], tuple(row[component] for row in labels.labels)
+
+
+def _label_vector(m: MealyAutomaton, labels: AbelianLabels | None, component: int):
+    """One component of m's labels as (modulus, residues); every series reads labels here.
+
+    With no labels the one component is each state's shift e, where the
+    state writes a -> a+e mod k, and the output rows are judged before
+    the component.
+    """
+    moduli = _moduli(m, labels)
+    if labels is not None:
+        return abelian_vector(labels, component)
     for q, row in enumerate(m.out):
         if any(b != (a + row[0]) % m.k for a, b in enumerate(row)):
             raise NotCyclicError(m.names[q])
-    return m.k, tuple(row[0] for row in m.out)
+    _check_index(component, "component", len(moduli), BadComponentError)
+    return moduli[component], tuple(row[0] for row in m.out)
 
 
 def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
@@ -284,17 +308,7 @@ def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
     returned labels hold those shifts, one residue per state, with the
     single modulus k.
     """
-    k, shifts = _shifts(m)
-    return AbelianLabels((k,), tuple((e,) for e in shifts))
-
-
-def labels_or_shifts(m: MealyAutomaton, labels: AbelianLabels | None) -> AbelianLabels:
-    """The given labels, one row per state, or else the cyclic shifts of m."""
-    if labels is None:
-        return validate_cyclic(m)
-    if len(labels.labels) != m.n_states:
-        raise DimensionMismatchError(f"{len(labels.labels)} label rows for {m.n_states} states")
-    return labels
+    return AbelianLabels(_moduli(m, None), tuple((e,) for e in _label_vector(m, None, 0)[1]))
 
 
 def _read_int(text: str) -> int | None:
@@ -346,7 +360,7 @@ def _coerce_word(word, k: int):
         return parse_word(word, k), True
     symbols = tuple(word)
     for i, s in enumerate(symbols):
-        if not isinstance(s, int) or not 0 <= s < k:
+        if not (_is_int(s) and 0 <= s < k):
             raise BadSymbolError(i, s)
     return symbols, False
 
@@ -577,8 +591,7 @@ class AutomatonFile(_Record):
         _set(self, "labels", labels)
         if initial is not None:
             _check_index(initial, "initial state index", automaton.n_states, AutomatonError)
-        if labels is not None:
-            labels_or_shifts(automaton, labels)  # one label row per state
+        _moduli(automaton, labels)  # one label row per state
 
     def initial_automaton(self) -> InitialAutomaton:
         if self.initial is None:

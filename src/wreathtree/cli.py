@@ -21,9 +21,9 @@ from .automaton import (
     AutomatonFile,
     NotCyclicError,
     ParseError,
+    _moduli,
     _read_int,
     format_word,
-    labels_or_shifts,
     parse_automaton,
     parse_word,
     serialize_automaton,
@@ -148,12 +148,9 @@ def _rational(args, parsed) -> dict:
 def _equal_ab(args, parsed_f, parsed_g) -> dict:
     from .decide import abelianization_equal
 
-    labels_f = labels_or_shifts(parsed_f.automaton, parsed_f.labels)
-    labels_g = labels_or_shifts(parsed_g.automaton, parsed_g.labels)
-    equal, witness = abelianization_equal(
-        parsed_f.initial_automaton(), parsed_g.initial_automaton(), labels_f, labels_g
-    )
-    return {"equal": equal, "witness": witness, "moduli": labels_f.moduli}
+    f, g = parsed_f.initial_automaton(), parsed_g.initial_automaton()
+    equal, witness = abelianization_equal(f, g, parsed_f.labels, parsed_g.labels)
+    return {"equal": equal, "witness": witness, "moduli": _moduli(f.automaton, parsed_f.labels)}
 
 
 def _conjugate(args, parsed_f, parsed_g) -> dict:

@@ -29,9 +29,9 @@ from .automaton import (
     _check_alphabets,
     _check_residues,
     _is_int,
+    _moduli,
     _Record,
     _set,
-    labels_or_shifts,
 )
 from .modmath import EventuallyPeriodicStream, char_poly_mod, series_stream, series_terms
 
@@ -99,10 +99,11 @@ def abelianization_equal(
 
     Labels default to the cyclic shifts mod k; explicit labels allow any
     product of cyclic groups, compared component by component over the
-    shared moduli.  Each component iterates the two machines side by
-    side and compares their series term by term.  Returns (equal,
-    witness) where the witness is the least series index at which any
-    component differs, or None.
+    shared moduli, which are matched before any output row is judged
+    cyclic.  Each component iterates the two machines side by side and
+    compares their series term by term.  Returns (equal, witness) where
+    the witness is the least series index at which any component
+    differs, or None.
 
     The pair of j-th iterates of f and g is the j-th iterate of the
     block-diagonal matrix diag(A_f, A_g) on d = n_f + n_g coordinates,
@@ -111,14 +112,11 @@ def abelianization_equal(
     bound proved in ``modmath``, and the first index found is the least.
     """
     _check_alphabets(f, g)
-    labels_f = labels_or_shifts(f.automaton, labels_f)
-    labels_g = labels_or_shifts(g.automaton, labels_g)
-    if labels_f.moduli != labels_g.moduli:
-        raise ModuliMismatchError(
-            f"label moduli differ: {labels_f.moduli} != {labels_g.moduli}"
-        )
+    moduli_f, moduli_g = _moduli(f.automaton, labels_f), _moduli(g.automaton, labels_g)
+    if moduli_f != moduli_g:
+        raise ModuliMismatchError(f"label moduli differ: {moduli_f} != {moduli_g}")
     witness: int | None = None
-    for component in range(len(labels_f.moduli)):
+    for component in range(len(moduli_f)):
         bound = f.automaton.n_states + g.automaton.n_states if witness is None else witness
         _, terms_f = series_terms(f, labels_f, component)
         _, terms_g = series_terms(g, labels_g, component)

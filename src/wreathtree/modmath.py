@@ -33,17 +33,16 @@ from operator import itemgetter, mul
 from .automaton import (
     AbelianLabels,
     AutomatonError,
-    BadComponentError,
     DimensionMismatchError,
     InitialAutomaton,
     MealyAutomaton,
     NegativeIndexError,
     _check_index,
     _check_residues,
+    _label_vector,
     _Record,
     _set,
-    _shifts,
-    labels_or_shifts,
+    abelian_vector,
 )
 
 DEFAULT_VISIT_CAP = 10_000_000
@@ -104,21 +103,6 @@ def incidence_matrix(m: MealyAutomaton) -> tuple:
     return _rows(m.delta)
 
 
-def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[int, ...]]:
-    """One chosen component of the per-state labels as (modulus, residues)."""
-    _check_index(component, "component", len(labels.moduli), BadComponentError)
-    return labels.moduli[component], tuple(row[component] for row in labels.labels)
-
-
-def _label_vector(g: InitialAutomaton, labels: AbelianLabels | None, component: int):
-    """(m, residues) of one label component, or with no labels the shifts mod k of g's states."""
-    if labels is None:
-        vector = _shifts(g.automaton)
-        _check_index(component, "component", 1, BadComponentError)  # shifts have one
-        return vector
-    return abelian_vector(labels_or_shifts(g.automaton, labels), component)
-
-
 def coefficient_stream(
     matrix: tuple,
     vector: tuple[int, tuple[int, ...]],
@@ -157,16 +141,20 @@ def coefficient_stream(
 def series_stream(
     g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
 ) -> EventuallyPeriodicStream:
-    """g's series as a stream: one label component, by default the shifts, from g.initial."""
-    vector = _label_vector(g, labels, component)
+    """g's series as a stream, read at g.initial.
+
+    Its terms sum one label component, given one row per state, or by
+    default each state's shift mod k, which needs cyclic output rows.
+    """
+    vector = _label_vector(g.automaton, labels, component)
     return coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
 
 
 def series_terms(
     g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
 ):
-    """g's series as (m, its terms one by one), with the same labels as ``series_stream``."""
-    m, v = _label_vector(g, labels, component)
+    """g's series as (m, its terms one by one), with the labels read as by ``series_stream``."""
+    m, v = _label_vector(g.automaton, labels, component)
     return m, map(itemgetter(g.initial), _iterates(incidence_matrix(g.automaton), v, m))
 
 

@@ -10,8 +10,7 @@ analysis.
 from itertools import chain
 
 from .automaton import AbelianLabels, AutomatonError, InitialAutomaton
-from .automaton import _check_index, _Record, _set
-from .modmath import _label_vector
+from .automaton import _check_index, _label_vector, _Record, _set
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -132,6 +131,9 @@ def abelian_coefficient_bruteforce(
 ) -> int:
     """Sum of the section labels over all words of length n, mod m.
 
+    The labels are read as ``series_stream`` reads them: one component
+    of the given labels, or by default each state's shift mod k.
+
     Walks the transition table lazily to every prefix word of length
     n - d, where d = n // 2, lowered while n_states * k^d exceeds
     k^(n-d).  The row of a state s holds the chosen label component at
@@ -140,7 +142,7 @@ def abelian_coefficient_bruteforce(
     in order; no per-state total is formed.  The rows hold at most
     max(n_states * k, k^(n-d)) entries, and the walk no list of words.
     """
-    m, residues = _label_vector(g, labels, component)
+    m, residues = _label_vector(g.automaton, labels, component)
     return sum(_level_tables(g, n, residues)) % m
 
 

@@ -1,5 +1,6 @@
 """The top-level surface of the package: the documented names, all of them resolvable."""
 
+import ast
 import dataclasses
 import os
 import re
@@ -11,6 +12,7 @@ import wreathtree
 from wreathtree.decide import TransitivityVerdict
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wreathtree"
 
 EXPORTS = {
     "parse_automaton",
@@ -96,3 +98,35 @@ def test_the_verdict_and_series_types_stay_dataclasses():
     # and a flipped verdict would pass without checking anything.
     assert dataclasses.is_dataclass(TransitivityVerdict)
     assert dataclasses.is_dataclass(wreathtree.RationalSeries)
+
+
+def _imports(path):
+    """(level, module) of every import in a source file, level 0 for an absolute one."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module))
+    return found
+
+
+def test_the_simulator_imports_no_package_module_but_automaton():
+    # the README's claim that the simulator never reads incidence matrices
+    # or streams: of the package it shares only the lowest layer
+    package = {
+        (level, module)
+        for level, module in _imports(SRC / "oracle.py")
+        if level or module.partition(".")[0] == "wreathtree"
+    }
+    assert package == {(1, "automaton")}
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # numpy and sympy are installed where the tests run, so an accidental
+    # runtime dependency would pass every other test
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        for level, module in _imports(path):
+            assert level or module.partition(".")[0] in sys.stdlib_module_names, (path.name, module)

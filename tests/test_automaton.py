@@ -1,4 +1,8 @@
+import contextlib
+import io
 import itertools
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +17,12 @@ from wreathtree import (
     RationalSeries,
     abelian_coefficient_bruteforce,
     abelian_vector,
+    abelianization_equal,
     coefficient_stream,
     incidence_matrix,
     level_transitive,
     parse_automaton,
+    rational_form,
     serialize_automaton,
     series_expand,
     to_dot,
@@ -40,7 +46,8 @@ from wreathtree.automaton import (
     format_word,
     parse_word,
 )
-from wreathtree.modmath import EventuallyPeriodicStream, series_stream
+from wreathtree.cli import main
+from wreathtree.modmath import EventuallyPeriodicStream, series_stream, series_terms
 
 LAMPLIGHTER_TEXT = """\
 alphabet 2
@@ -355,6 +362,77 @@ def test_every_owner_words_the_index_rule_alike(owner):
         assert str(err.value) == f"{role} {v} is {'negative' if bound is None else 'out of range'}"
 
 
+NON_CYCLIC = InitialAutomaton(MealyAutomaton(3, ("s",), ((0, 0, 0),), ((0, 2, 1),)), 0)
+
+
+def _refusal(call):
+    """The owner that calls call(g, labels), as (error class name, message)."""
+
+    def owner(g, labels):
+        with pytest.raises(AutomatonError) as err:
+            call(g, labels)
+        return type(err.value).__name__, str(err.value)
+
+    return owner
+
+
+def _cli_refusal(command, n_files, *options):
+    """The owner that runs a command on files holding g, as (error class name, message)."""
+
+    def owner(g, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.aut")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize_automaton(g.automaton, g.initial, labels))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main([command, *[path] * n_files, *options]) == 2
+        name, message = err.getvalue().removeprefix("error: ").removesuffix("\n").split(": ", 1)
+        return name, message
+
+    return owner
+
+
+# every owner of the label rule, called with a machine g and its labels, or
+# None for the default shifts mod k; it answers with what it was refused by
+LABEL_OWNERS = {
+    "series_stream": _refusal(series_stream),
+    "series_terms": _refusal(series_terms),
+    "rational_form": _refusal(rational_form),
+    "abelianization_equal-f": _refusal(
+        lambda g, labels: abelianization_equal(g, corpus.identity_machine(g.k), labels, None)
+    ),
+    "abelianization_equal-g": _refusal(
+        lambda g, labels: abelianization_equal(corpus.identity_machine(g.k), g, None, labels)
+    ),
+    "abelian_coefficient_bruteforce": _refusal(
+        lambda g, labels: abelian_coefficient_bruteforce(g, 1, labels)
+    ),
+    "AutomatonFile": _refusal(lambda g, labels: AutomatonFile(g.automaton, g.initial, labels)),
+    "cli-equal-ab": _cli_refusal("equal-ab", 2),
+    "cli-coeffs": _cli_refusal("coeffs", 1, "--count", "3"),
+}
+
+
+@pytest.mark.parametrize("owner", LABEL_OWNERS)
+def test_every_owner_words_the_label_rule_alike(owner):
+    refused = LABEL_OWNERS[owner]
+    if owner == "AutomatonFile":  # a file may hold any machine: it needs no shifts
+        AutomatonFile(NON_CYCLIC.automaton, NON_CYCLIC.initial, None)
+    else:
+        assert refused(NON_CYCLIC, None) == (
+            "NotCyclicError",
+            "output permutation of state 's' is not a power of the standard cycle",
+        )
+    if owner.startswith("cli-"):  # a file holds exactly one label line per state
+        return
+    for rows in (((1,),), ((1,), (0,), (1,))):
+        assert refused(corpus.odometer(), AbelianLabels((2,), rows)) == (
+            "DimensionMismatchError",
+            f"{len(rows)} label rows for 2 states",
+        )
+
+
 def test_negative_index_error_is_importable_from_modmath():
     assert modmath.NegativeIndexError is NegativeIndexError
 
@@ -372,8 +450,12 @@ def test_negative_index_error_is_importable_from_modmath():
             lambda: MealyAutomaton(2, ("a", "b"), ((0, 0),), ((0, 1), (0, 1))),
             "delta and out need one row per state",
         ),
+        (  # the names are judged one by one before they are compared
+            lambda: MealyAutomaton(2, ("a", "a", "b-c"), ((0, 0),) * 3, ((0, 1),) * 3),
+            "bad state name 'b-c'",
+        ),
     ],
-    ids=["no-moduli", "short-label-row", "bad-name", "missing-delta-row"],
+    ids=["no-moduli", "short-label-row", "bad-name", "missing-delta-row", "duplicate-and-bad-name"],
 )
 def test_constructors_reject_malformed_fields(build, message):
     with pytest.raises(AutomatonError) as err:
@@ -401,8 +483,12 @@ def test_constructors_reject_malformed_fields(build, message):
             lambda: InitialAutomaton(ONE_STATE, 0.0),
             "initial state index 0.0 is not an integer",
         ),
+        (  # the name rule runs before the names are hashed for duplicates
+            lambda: MealyAutomaton(2, (["a"],), ((0, 0),), ((0, 1),)),
+            "bad state name ['a']",
+        ),
     ],
-    ids=["alphabet-size", "transition", "state-name", "initial"],
+    ids=["alphabet-size", "transition", "state-name", "initial", "unhashable-name"],
 )
 def test_machines_name_a_value_of_the_wrong_type(build, message):
     # each of these once passed its check and failed later with a TypeError
@@ -756,6 +842,11 @@ def test_apply_rejects_bad_symbols(odometer):
         odometer.apply((0, 2))
     with pytest.raises(BadSymbolError):
         odometer.apply("21")
+    # True is an int, but no symbol
+    with pytest.raises(BadSymbolError, match="bad symbol True at position 0"):
+        odometer.apply((True, 0))
+    with pytest.raises(BadSymbolError, match="bad symbol False at position 1"):
+        odometer.section((0, False))
 
 
 def _recursive_apply(g, word):

@@ -15,7 +15,13 @@ import pytest
 
 import corpus
 import wreathtree
-from wreathtree import AbelianLabels, parse_automaton, serialize_automaton
+from wreathtree import (
+    AbelianLabels,
+    InitialAutomaton,
+    MealyAutomaton,
+    parse_automaton,
+    serialize_automaton,
+)
 from wreathtree import cli
 from wreathtree.cli import main
 
@@ -516,6 +522,21 @@ def test_non_cyclic_analysis_exits_with_2(capsys, tmp_path):
     code, _, err = run(capsys, "coeffs", str(path), "--count", "3")
     assert code == 2
     assert "NotCyclicError" in err
+
+
+def test_equal_ab_compares_moduli_before_judging_rows(capsys, tmp_path):
+    swap = InitialAutomaton(MealyAutomaton(3, ("s",), ((0, 0, 0),), ((0, 2, 1),)), 0)
+    swap_path = write_machine(tmp_path, "swap.aut", swap)
+    labelled = write_machine(
+        tmp_path, "labelled.aut", corpus.identity_machine(3), AbelianLabels((5,), ((1,),))
+    )
+    code, out, err = run(capsys, "equal-ab", swap_path, labelled)
+    assert (code, out) == (2, "")
+    assert err == "error: ModuliMismatchError: label moduli differ: (3,) != (5,)\n"
+    # the alphabets come first of all
+    code, _, err = run(capsys, "equal-ab", swap_path, IDENTITY)
+    assert code == 2
+    assert err == "error: AlphabetMismatchError: alphabet sizes differ: 3 != 2\n"
 
 
 def test_mismatched_alphabets_exit_with_2(capsys, tmp_path):

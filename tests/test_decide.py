@@ -219,6 +219,11 @@ def test_equality_guards(odometer):
     labels3 = AbelianLabels((3,), ((1,), (0,)))
     with pytest.raises(ModuliMismatchError):
         abelianization_equal(odometer, odometer, labels3, None)
+    # the moduli are compared before any output row is judged cyclic
+    swap = InitialAutomaton(MealyAutomaton(3, ("s",), ((0, 0, 0),), ((0, 2, 1),)), 0)
+    labels5 = AbelianLabels((5,), ((1,),))
+    with pytest.raises(ModuliMismatchError, match=r"label moduli differ: \(3,\) != \(5,\)"):
+        abelianization_equal(swap, corpus.identity_machine(3), None, labels5)
 
 
 # ---------- conjugacy ----------

@@ -7,7 +7,6 @@ from wreathtree import (
     AutomatonError,
     IterationCapError,
     RationalSeries,
-    abelian_vector,
     coefficient_stream,
     incidence_matrix,
     series_expand,
@@ -19,6 +18,7 @@ from wreathtree.modmath import (
     EventuallyPeriodicStream,
     NegativeIndexError,
     NonUnitConstantTermError,
+    abelian_vector,  # defined in automaton; modmath re-exports it
     char_poly_mod,
     series_stream,
     series_terms,
