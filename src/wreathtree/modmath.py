@@ -125,17 +125,17 @@ def coefficient_stream(
     _check_index(cap, "visit cap")
     _check_residues(m, "vector entry", w)
     seen: dict = {}
-    terms = []
     for w in _iterates(matrix, tuple(w), m):
-        r = seen.get(w)
-        if r is not None:
+        # compared with the size before the insert, a fixed point is a revisit
+        size = len(seen)
+        r = seen.setdefault(w, size)
+        if r < size:
+            terms = [v[init] for v in seen]
             return EventuallyPeriodicStream(m, tuple(terms[:r]), tuple(terms[r:]))
-        if len(seen) >= cap:
+        if size >= cap:
             raise IterationCapError(
                 f"visited more than {cap} distinct vectors without closing a cycle"
             )
-        seen[w] = len(terms)
-        terms.append(w[init])
 
 
 def series_stream(

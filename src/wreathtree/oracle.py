@@ -2,9 +2,9 @@
 
 Nothing in this module looks at incidence matrices or streams: every
 word of a level is enumerated, its label or image read from a table
-of its state after the first half of the word, which makes these
-functions slow but independent cross-checks for the closed-form
-analysis.
+of its state after the first n - d letters (see ``_depth``), which
+makes these functions slow but independent cross-checks for the
+closed-form analysis.
 """
 
 from itertools import chain
@@ -51,25 +51,19 @@ def _walk(g: InitialAutomaton, s: int, depth: int) -> tuple[list[int], list[int]
     return img, states
 
 
-def _level_tables(g: InitialAutomaton, n: int, residues: tuple[int, ...] | None = None):
-    """The k^n words of level n in lexicographic order: their labels or images.
+def _depth(g: InitialAutomaton, n: int) -> int:
+    """The suffix length d at which level n is met in the middle.
 
-    Given one residue per state, this is the lazy stream of the residues
-    at the words' sections; without, the list of the words' images, each
-    as its base-k index.  A level of more than ``DEFAULT_WORD_CAP`` words
-    is refused before any work.
-
-    The level is met in the middle: a word is a prefix u of length n - d
-    and a suffix v of length d, where d = n // 2, lowered while
-    n_states * k^d exceeds k^(n-d), but never below 1 once n >= 1.  Only
-    the k^(n-d) prefixes are walked.  Each state has a table over its
-    k^d suffixes, and the words below u read the table of the state s
-    reached at u whole: the label of u v is the label at v below s, and
-    the image of u v is the image of u followed by that of v under s.
-    So the tables hold n_states * k^d <= max(n_states * k, k^(n-d))
-    entries.  The label stream walks its prefixes lazily; the images
-    also hold the k^(n-d) prefix images and states, besides the k^n
-    images themselves.
+    A word of level n is a prefix u of length n - d and a suffix v of
+    length d.  Only the k^(n-d) prefixes are walked; each state s has a
+    table over its k^d suffixes, and the words below u read the table
+    of the state reached at u whole: the label of u v is the label at v
+    below s, and the image of u v is the image of u followed by that of
+    v under s.  d is n // 2, lowered while n_states * k^d exceeds
+    k^(n-d), but never below 1 once n >= 1, so the tables hold
+    n_states * k^d <= max(n_states * k, k^(n-d)) entries.  A negative
+    level, or one of more than ``DEFAULT_WORD_CAP`` words, is refused
+    before any work.
     """
     k = g.k
     _check_index(n, "level")
@@ -79,17 +73,10 @@ def _level_tables(g: InitialAutomaton, n: int, residues: tuple[int, ...] | None 
         raise LevelTooLargeError(
             f"level {n} holds {size} words, above the cap of {DEFAULT_WORD_CAP}"
         )
-    delta = g.automaton.delta
     d = min(n, max(1, n // 2))
-    while d > 1 and len(delta) * k**d > k ** (n - d):
+    while d > 1 and g.automaton.n_states * k**d > k ** (n - d):
         d -= 1
-    if residues is not None:
-        rows = [tuple(map(residues.__getitem__, _below(delta, s, d))) for s in range(len(delta))]
-        return chain.from_iterable(map(rows.__getitem__, _below(delta, g.initial, n - d)))
-    rows = [_walk(g, s, d)[0] for s in range(len(delta))]
-    img, states = _walk(g, g.initial, n - d)
-    # each prefix image is scaled once, not once per word below it
-    return [i + j for i, s in zip(map((k**d).__mul__, img), states) for j in rows[s]]
+    return d
 
 
 def level_transitive(g: InitialAutomaton, n: int) -> LevelOrbitReport:
@@ -99,14 +86,16 @@ def level_transitive(g: InitialAutomaton, n: int) -> LevelOrbitReport:
     permutation, so the level map is one too and its orbits are its
     cycles.  Walking each cycle once from its least unvisited word
     gives the orbit count and the largest orbit in one linear pass.
-    The image list is met in the middle (see ``_level_tables``): only
-    the k^(n-d) prefixes are walked, where d = n // 2 is lowered while
-    n_states * k^d exceeds k^(n-d), and each state's images of its k^d
-    suffixes are tabled.  So besides the k^n images and a visited byte
-    per word, the prefix images, the prefix states and the tables hold
-    at most max(n_states * k, k^(n-d)) entries each.
+    The base-k images are met in the middle (see ``_depth``), so
+    besides the k^n images and a visited byte per word, the prefix
+    images, the prefix states and the suffix tables hold at most
+    max(n_states * k, k^(n-d)) entries each.
     """
-    img = _level_tables(g, n)
+    k, d = g.k, _depth(g, n)
+    rows = [_walk(g, s, d)[0] for s in range(g.automaton.n_states)]
+    img, states = _walk(g, g.initial, n - d)
+    # each prefix image is scaled once, not once per word below it
+    img = [i + j for i, s in zip(map((k**d).__mul__, img), states) for j in rows[s]]
     seen = bytearray(len(img))
     count = largest = 0
     start = seen.find(0)
@@ -134,16 +123,16 @@ def abelian_coefficient_bruteforce(
     The labels are read as ``series_stream`` reads them: one component
     of the given labels, or by default each state's shift mod k.
 
-    Walks the transition table lazily to every prefix word of length
-    n - d, where d = n // 2, lowered while n_states * k^d exceeds
-    k^(n-d).  The row of a state s holds the chosen label component at
-    its k^d descendants in word order, so chaining the rows of the
-    prefixes in word order yields the label of every level-n word once,
-    in order; no per-state total is formed.  The rows hold at most
-    max(n_states * k, k^(n-d)) entries, and the walk no list of words.
+    Each word's label is read from the suffix table of the state
+    reached at its prefix (see ``_depth``).  The prefixes are walked
+    lazily and the tables hold the chosen label component, so the
+    labels of all level-n words are summed in word order with no list
+    of words and no per-state total.
     """
     m, residues = _label_vector(g.automaton, labels, component)
-    return sum(_level_tables(g, n, residues)) % m
+    d, delta = _depth(g, n), g.automaton.delta
+    rows = [tuple(map(residues.__getitem__, _below(delta, s, d))) for s in range(len(delta))]
+    return sum(chain.from_iterable(map(rows.__getitem__, _below(delta, g.initial, n - d)))) % m
 
 
 def conjugate_by(h: InitialAutomaton, g: InitialAutomaton) -> InitialAutomaton:

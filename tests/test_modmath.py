@@ -187,7 +187,13 @@ def test_stream_of_a_chain_mod_4():
 def test_stream_visit_cap(lamp_b):
     matrix = incidence_matrix(lamp_b.automaton)
     vector = abelian_vector(validate_cyclic(lamp_b.automaton), 0)
-    with pytest.raises(IterationCapError):
+    # the stream stores 3 vectors, the last the zero vector, which maps to
+    # itself: a cap of 3 closes it there, and a cap of 2 is refused
+    stream = coefficient_stream(matrix, vector, lamp_b.initial, cap=3)
+    assert (stream.preperiod, stream.period) == ((1, 1), (0,))
+    with pytest.raises(
+        IterationCapError, match=r"^visited more than 2 distinct vectors without closing a cycle$"
+    ):
         coefficient_stream(matrix, vector, lamp_b.initial, cap=2)
 
 

@@ -109,29 +109,40 @@ def test_orbit_report_agrees_with_apply_recount(rng):
     assert unequal >= 10
 
 
-def test_word_cap_is_enforced(odometer, monkeypatch):
+# both simulators refuse a level through the same rule, with the same message
+SIMULATORS = [
+    pytest.param(f, id=f.__name__) for f in (level_transitive, abelian_coefficient_bruteforce)
+]
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS)
+def test_word_cap_is_enforced(simulate, odometer, monkeypatch):
     # the real cap refuses 2^20 words before enumerating any of them
-    with pytest.raises(LevelTooLargeError, match="above the cap of 1000000"):
-        level_transitive(odometer, 20)
-    with pytest.raises(LevelTooLargeError, match="above the cap of 1000000"):
-        abelian_coefficient_bruteforce(odometer, 20)
+    with pytest.raises(
+        LevelTooLargeError, match=r"^level 20 holds 1048576 words, above the cap of 1000000$"
+    ):
+        simulate(odometer, 20)
     monkeypatch.setattr(oracle, "DEFAULT_WORD_CAP", 31)
-    with pytest.raises(LevelTooLargeError):
-        level_transitive(odometer, 5)
-    with pytest.raises(LevelTooLargeError):
-        abelian_coefficient_bruteforce(odometer, 5)
+    with pytest.raises(LevelTooLargeError, match=r"^level 5 holds 32 words, above the cap of 31$"):
+        simulate(odometer, 5)
     # the cap is a bound, not a target
     monkeypatch.setattr(oracle, "DEFAULT_WORD_CAP", 32)
-    assert level_transitive(odometer, 5).transitive
+    expected = {
+        level_transitive: LevelOrbitReport(5, 1, 32, True),
+        abelian_coefficient_bruteforce: 1,
+    }
+    assert simulate(odometer, 5) == expected[simulate]
 
 
-def test_huge_levels_are_refused_without_their_size(odometer):
+@pytest.mark.parametrize("simulate", SIMULATORS)
+def test_huge_levels_are_refused_without_their_size(simulate, odometer):
     # 2^(10^6) has more decimal digits than str() writes, and 2^(10^9)
     # takes seconds to compute
-    with pytest.raises(LevelTooLargeError, match=r"level 1000000 holds 2\^1000000 words"):
-        level_transitive(odometer, 10**6)
-    with pytest.raises(LevelTooLargeError, match="above the cap of 1000000"):
-        abelian_coefficient_bruteforce(odometer, 10**9)
+    for n in (10**6, 10**9):
+        with pytest.raises(
+            LevelTooLargeError, match=rf"^level {n} holds 2\^{n} words, above the cap of 1000000$"
+        ):
+            simulate(odometer, n)
 
 
 def test_negative_levels_are_rejected(odometer):
@@ -224,6 +235,24 @@ def test_level_sum_on_many_states_holds_less_than_its_prefix_states():
         assert peak < sys.getsizeof([0] * 2 ** (n - 1))
         # every level-16 word leads to the copying state s16, whose label is 0
         assert got == 0
+
+
+def test_level_images_on_many_states_hold_less_than_ten_lists_of_the_level():
+    # 2,002 states at level 16: image tables of depth 8 would hold 2002 * 2^8
+    # entries, about 7 MB traced, so the depth is lowered until they hold no
+    # more than the prefixes, about 3.6 MB
+    g = corpus.tail_flip(2000)
+    n = 16
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = level_transitive(g, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * sys.getsizeof([0] * 2**n)
+    # only the letter at depth 2000 moves, so every level-16 word is fixed
+    assert report == LevelOrbitReport(n, 2**n, 1, False)
 
 
 def test_bruteforce_rejects_bad_label_requests():
