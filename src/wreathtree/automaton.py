@@ -391,12 +391,13 @@ def _behavior_classes(delta, out):
 
     Moore refinement: start from the output rows, then key each state by
     its class and the classes of its whole successor row until no class
-    splits.  Two states land in the same class iff they transform every
-    word identically.  Each round costs O(k n), and a round is needed
-    per depth at which two states are first told apart, so the worst
-    case is O(k n^2): a chain of copying states ending in one flip takes
-    a round per state, about 1.6 s at 2,002 states (Python 3.11, one
-    core of a 2-core x86-64 Linux host).
+    splits, or until every state is alone in its class, which no round
+    can split again.  Two states land in the same class iff they
+    transform every word identically.  Each round costs O(k n), and a
+    round is needed per depth at which two states are first told apart,
+    so the worst case is O(k n^2): a chain of copying states ending in
+    one flip takes a round per state, 3.1 to 3.9 s at 2,002 states
+    (Python 3.11, one core of a 2-core x86-64 Linux host).
     """
     labels = _row_ids(out)[0]
     while True:
@@ -406,8 +407,8 @@ def _behavior_classes(delta, out):
             ids.setdefault((label, tuple(map(at, row))), len(ids))
             for label, row in zip(labels, delta)
         ]
-        if refined == labels:
-            return labels
+        if len(ids) == len(refined) or refined == labels:
+            return refined
         labels = refined
 
 
@@ -481,34 +482,40 @@ class InitialAutomaton(_Record):
         by the integer p * n_g + q; its output row is shared from a table on
         the ids of p's and q's distinct rows, filled as met, so it holds at
         most min(k!, n_f) * min(k!, n_g) rows and no more than the product's
-        states.  A state costs k small-integer lookups and one new tuple.
+        states.  With f's successor rows scaled to key parts (times n_g) and
+        g's rows zipped to (output, successor) pairs before the walk, a state
+        costs k additions, k small-integer lookups and one new tuple.
         """
         _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
         n_g = g.n_states
         g_ids, g_rows = _row_ids(g.out)
         f_ids = [i * len(g_rows) for i in _row_ids(f.out)[0]]  # + g's row id: a table key
+        f_keys = [[t * n_g for t in row] for row in f.delta]
+        g_moves = [tuple(zip(orow, drow)) for orow, drow in zip(g.out, g.delta)]
         table = {}
         order = [self.initial * n_g + other.initial]
         index = {order[0]: 0}
+        find, meet = index.get, order.append
         delta, out = [], []
         for key in order:
             p, q = divmod(key, n_g)
-            f_delta, g_out = f.delta[p], g.out[q]
+            f_key = f_keys[p]
             row = []
-            for b, t in zip(g_out, g.delta[q]):
-                pair = f_delta[b] * n_g + t
-                i = index.get(pair)
+            for b, t in g_moves[q]:
+                pair = f_key[b] + t
+                i = find(pair)
                 if i is None:
                     i = index[pair] = len(order)
-                    order.append(pair)
+                    meet(pair)
                 row.append(i)
             delta.append(tuple(row))
             rows = f_ids[p] + g_ids[q]
             if rows not in table:
-                table[rows] = tuple(map(f.out[p].__getitem__, g_out))
+                table[rows] = tuple(map(f.out[p].__getitem__, g.out[q]))
             out.append(table[rows])
-        names = _dedupe_names([f"{f.names[key // n_g]}_{g.names[key % n_g]}" for key in order])
+        prefixes = [name + "_" for name in f.names]
+        names = _dedupe_names([prefixes[key // n_g] + g.names[key % n_g] for key in order])
         return InitialAutomaton(MealyAutomaton(self.k, names, delta, out), 0)
 
     def minimize(self) -> "InitialAutomaton":
@@ -518,7 +525,9 @@ class InitialAutomaton(_Record):
         that behave identically, by Moore refinement: O(k n^2) in the
         worst case, one round per depth of distinguishability (see
         ``_behavior_classes``).  Merged states take the name of their
-        earliest member in breadth-first discovery order.
+        earliest member in breadth-first discovery order.  A machine that
+        is already minimal and numbered so, every state reachable and met
+        in declaration order from the start 0, is returned as it is.
         """
         m = self.automaton
         order = [self.initial]
@@ -531,6 +540,8 @@ class InitialAutomaton(_Record):
         sub_delta = [tuple(map(pos.__getitem__, m.delta[q])) for q in order]
         sub_out = [m.out[q] for q in order]
         labels = _behavior_classes(sub_delta, sub_out)
+        if labels[-1] == len(labels) - 1 and order == list(range(m.n_states)):
+            return self  # all singletons, no renumbering: the rebuild would equal self
         reps = []
         for i, c in enumerate(labels):
             if c == len(reps):

@@ -13,7 +13,6 @@ invalid input.
 """
 
 import argparse
-import hashlib
 import sys
 
 from .automaton import (
@@ -50,15 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load(path: str) -> tuple[AutomatonFile, str]:
+def _load(path: str) -> tuple[AutomatonFile, bytes]:
     with open(path, "rb") as handle:
         data = handle.read()
-    digest = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}") from None
-    return parse_automaton(text), digest
+    return parse_automaton(text), data
 
 
 def _count(text: str) -> int:
@@ -228,10 +226,12 @@ def _run(args) -> int:
     loaded = [_load(path) for path in paths]
     result = handler(args, *(parsed for parsed, _ in loaded))
     if isinstance(result, dict):
+        import hashlib  # only documents print the inputs' digests
+
         result["command"] = args.command
-        for prefix, path, (_, digest) in zip(prefixes, paths, loaded):
+        for prefix, path, (_, data) in zip(prefixes, paths, loaded):
             result[f"{prefix}.path"] = path
-            result[f"{prefix}.sha256"] = digest
+            result[f"{prefix}.sha256"] = hashlib.sha256(data).hexdigest()
         result = "".join(f"{key} = {_render(result[key])}\n" for key in sorted(result))
     if args.output is None:
         sys.stdout.write(result)

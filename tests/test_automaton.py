@@ -1122,6 +1122,87 @@ def test_constructions_number_states_breadth_first(rng):
             assert_breadth_first(built)
 
 
+def _reference_behavior_classes(delta, out):
+    """First-appearance Moore classes by the first loop: refine until a round splits nothing."""
+    ids = {}
+    labels = [ids.setdefault(row, len(ids)) for row in out]
+    while True:
+        ids = {}
+        refined = [
+            ids.setdefault((label, tuple(labels[t] for t in row)), len(ids))
+            for label, row in zip(labels, delta)
+        ]
+        if refined == labels:
+            return labels
+        labels = refined
+
+
+def _doubled(rng, g):
+    """g's machine with its states shuffled and each declared twice; successors pick either copy."""
+    m = g.automaton
+    n = m.n_states
+    place = rng.sample(range(2 * n), 2 * n)  # copy c of state q sits at place[c * n + q]
+    delta, out = [None] * (2 * n), [None] * (2 * n)
+    for c in range(2):
+        for q in range(n):
+            delta[place[c * n + q]] = tuple(place[rng.randrange(2) * n + t] for t in m.delta[q])
+            out[place[c * n + q]] = m.out[q]
+    names = [f"s{i}" for i in range(2 * n)]
+    initial = place[rng.randrange(2) * n + g.initial]
+    return InitialAutomaton(MealyAutomaton(g.k, names, delta, out), initial)
+
+
+def test_behavior_classes_keep_the_reference_labels(rng):
+    tables = [corpus.tail_flip(300).automaton]
+    for _ in range(150):
+        k = rng.choice([2, 3, 4])
+        f = _random_table_machine(rng, k, rng.randint(1, 60))
+        g = _random_table_machine(rng, k, rng.randint(1, 60))
+        tables += [f.automaton, _doubled(rng, f).automaton, f.compose(g).automaton]
+    splits = 0
+    for m in tables:
+        want = _reference_behavior_classes(m.delta, m.out)
+        assert _behavior_classes(m.delta, m.out) == want
+        splits += max(want) + 1 < m.n_states
+    assert splits > 150  # the doubled twins alone merge every state with its copy
+
+
+def test_minimize_is_canonical_on_shuffled_doubled_twins(rng):
+    for _ in range(3000):
+        g = corpus.random_invertible(rng, rng.choice([2, 3, 4]), max_states=6)
+        small, twin = g.minimize(), _doubled(rng, g).minimize()
+        assert _parts(twin)[1:] == _parts(small)[1:]
+
+
+def test_minimal_machines_out_of_breadth_first_order_are_still_renumbered(lamp_b):
+    # the states each walk meets are all told apart, so every class is a singleton
+    out = ((1, 0), (0, 1), (1, 0))
+    late = MealyAutomaton(2, ("a", "b", "c"), ((2, 2), (1, 1), (1, 1)), out)
+    unreachable = MealyAutomaton(2, ("a", "b", "junk"), ((1, 1), (1, 1), (0, 0)), out)
+    for g, names in (
+        (InitialAutomaton(late, 0), ("a", "c", "b")),  # a meets c before b
+        (lamp_b, ("b", "a")),  # starts at 1
+        (InitialAutomaton(unreachable, 0), ("a", "b")),
+    ):
+        small = g.minimize()
+        assert_breadth_first(small)
+        assert small.automaton.names == names
+        assert small.equivalent(g)
+
+
+def test_a_product_that_nothing_merges_minimizes_to_itself(rng):
+    kept = 0
+    for _ in range(300):
+        k = rng.choice([2, 3])
+        f, g = (corpus.random_invertible(rng, k, max_states=6) for _ in range(2))
+        fg = f.compose(g)
+        small = fg.minimize()
+        if small.automaton.n_states == fg.automaton.n_states:
+            assert small == fg
+            kept += 1
+    assert 30 < kept < 270
+
+
 def test_equivalent_odometer_vs_lamp_b(odometer, lamp_b):
     # verdict first, then the word-by-word explanation
     assert not odometer.equivalent(lamp_b)

@@ -613,3 +613,26 @@ def test_cli_loads_dataclasses_and_decide_only_to_decide():
     assert after_import == "[]"
     assert after_coeffs == "[]"
     assert "'wreathtree.decide'" in after_transitive
+
+
+def test_cli_hashes_inputs_only_for_documents():
+    # compose, inverse, minimize and dot print no input digest, so they
+    # leave ``hashlib`` unimported; validate still prints the same digest
+    probe = (
+        "import sys\n"
+        "from wreathtree.cli import main\n"
+        "def report(): print('hashlib' in sys.modules, file=sys.stderr)\n"
+        f"main(['compose', {LAMP_A!r}, {LAMP_B!r}])\n"
+        f"for command in ('inverse', 'minimize', 'dot'): main([command, {ODOMETER!r}])\n"
+        "report()\n"
+        f"main(['validate', {ODOMETER!r}])\n"
+        "report()\n"
+    )
+    src = str(Path(wreathtree.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stderr.splitlines() == ["False", "True"]
+    digest = hashlib.sha256(Path(ODOMETER).read_bytes()).hexdigest()
+    assert f"input.sha256 = {digest}\n" in result.stdout
