@@ -15,11 +15,9 @@ analysis modules consume.
 """
 
 import re
-from itertools import chain
 from operator import attrgetter, itemgetter
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_NAMES_RE = re.compile(r"[A-Za-z0-9_]+(?:\n[A-Za-z0-9_]+)*")  # names, one a line
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
@@ -153,8 +151,11 @@ class _Record:
     the tuple of fields, between instances of the same class only, the
     repr ``Name(field=value, ...)``, fields that cannot be assigned or
     deleted, and pickling and copying through the constructor.  Each
-    subclass names two or more fields and sets them in an explicit
-    ``__init__`` with ``_set(self, name, value)``, then checks them.
+    subclass names two or more fields, and its explicit ``__init__``
+    passes their values to ``_Record.__init__``, then checks them.
+    Records are checked once, where they enter: a constructor checks
+    what it is given, and the records the package derives from checked
+    ones are built by ``_of``, unchecked.
 
     Frozen dataclasses would do the same, but ``dataclasses`` imports
     ``inspect``, ``ast`` and ``tokenize`` and runs a code generator per
@@ -162,6 +163,10 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)
@@ -187,6 +192,13 @@ class _Record:
     def __reduce__(self):
         return self.__class__, self._values(self)
 
+    @classmethod
+    def _of(cls, *values):
+        """The record of these final field values, in ``__slots__`` order, unchecked."""
+        record = object.__new__(cls)
+        _Record.__init__(record, *values)
+        return record
+
 
 _set = object.__setattr__
 
@@ -197,17 +209,16 @@ class MealyAutomaton(_Record):
     States are kept in declaration order; ``delta[q][a]`` is the state
     entered after reading symbol ``a`` in state ``q`` and ``out[q][a]``
     the symbol written.  Every output row is a permutation of the
-    alphabet, which the constructor checks, so every machine computes
-    tree automorphisms and has an inverse.
+    alphabet, so every machine computes tree automorphisms and has an
+    inverse.  The constructor checks each table given to it; the machines
+    of ``inverse``, ``compose`` and ``minimize`` hold every rule by
+    construction and are not checked again.
     """
 
     __slots__ = ("k", "names", "delta", "out")
 
     def __init__(self, k: int, names, delta, out):
-        _set(self, "k", k)
-        _set(self, "names", tuple(names))
-        _set(self, "delta", tuple(map(tuple, delta)))
-        _set(self, "out", tuple(map(tuple, out)))
+        super().__init__(k, tuple(names), tuple(map(tuple, delta)), tuple(map(tuple, out)))
         self._check()
 
     def _check(self):
@@ -216,28 +227,25 @@ class MealyAutomaton(_Record):
         n = len(names)
         if n == 0:
             raise AutomatonError("an automaton needs at least one state")
-        text = "\n".join(names) if all(map(str.__instancecheck__, names)) else ""
-        if text.count("\n") != n - 1 or not _NAMES_RE.fullmatch(text):  # all names at once
-            _check_names(names)  # names the first bad one
+        _check_names(names)
         if len(set(names)) != n:  # hashable now: every name is a string
             raise AutomatonError("duplicate state names")
         if len(delta) != n or len(out) != n:
             raise AutomatonError("delta and out need one row per state")
-        for q, (drow, orow) in enumerate(zip(delta, out)):
+        for name, drow, orow in zip(names, delta, out):
             if len(drow) != k or len(orow) != k:
-                raise AutomatonError(f"rows of state '{names[q]}' must have {k} entries")
-            for t in drow:  # a plain int is cleared without the call
+                raise AutomatonError(f"rows of state '{name}' must have {k} entries")
+            for a, t in enumerate(drow):  # a plain int is cleared without the call
                 if not (t.__class__ is int or _is_int(t)) or not 0 <= t < n:
-                    a = next(a for a, s in enumerate(drow) if s is t)
                     fault = "out of range" if _is_int(t) else f"not an integer: {t!r}"
-                    raise AutomatonError(f"transition of state '{names[q]}' at {a} is {fault}")
-        rows = dict(zip(map(id, out), out)).values()  # by identity: (1.0, 0) == (1, 0)
+                    raise AutomatonError(f"transition of state '{name}' at {a} is {fault}")
         alphabet = list(range(k))
-        types = {*map(type, chain.from_iterable(rows))}
-        if types != {int} or any(sorted(row) != alphabet for row in set(rows)):
-            for q, row in enumerate(out):  # only a fault, or a subclass of int, comes here
-                if not all(map(_is_int, row)) or sorted(row) != alphabet:
-                    raise BadPermutationError(names[q], row)
+        for name, row in zip(names, out):  # every transition is checked before any row
+            for s in row:
+                if not (s.__class__ is int or _is_int(s)):
+                    raise BadPermutationError(name, row)
+            if sorted(row) != alphabet:
+                raise BadPermutationError(name, row)
 
     @property
     def n_states(self) -> int:
@@ -254,8 +262,7 @@ class AbelianLabels(_Record):
     __slots__ = ("moduli", "labels")
 
     def __init__(self, moduli, labels):
-        _set(self, "moduli", tuple(moduli))
-        _set(self, "labels", tuple(map(tuple, labels)))
+        super().__init__(tuple(moduli), tuple(map(tuple, labels)))
         self._check()
 
     def _check(self):
@@ -425,8 +432,7 @@ class InitialAutomaton(_Record):
     __slots__ = ("automaton", "initial")
 
     def __init__(self, automaton: MealyAutomaton, initial: int):
-        _set(self, "automaton", automaton)
-        _set(self, "initial", initial)
+        super().__init__(automaton, initial)
         _check_index(initial, "initial state index", automaton.n_states, AutomatonError)
 
     @property
@@ -469,9 +475,9 @@ class InitialAutomaton(_Record):
         ids, rows = _row_ids(m.out)
         inverses = [tuple(sorted(range(m.k), key=row.__getitem__)) for row in rows]
         reorder = [itemgetter(*inv) for inv in inverses]
-        out = list(map(inverses.__getitem__, ids))
-        delta = [reorder[i](drow) for i, drow in zip(ids, m.delta)]
-        return InitialAutomaton(MealyAutomaton(m.k, m.names, delta, out), self.initial)
+        out = tuple(map(inverses.__getitem__, ids))
+        delta = tuple([reorder[i](drow) for i, drow in zip(ids, m.delta)])
+        return InitialAutomaton._of(MealyAutomaton._of(m.k, m.names, delta, out), self.initial)
 
     def compose(self, other: "InitialAutomaton") -> "InitialAutomaton":
         """The machine computing ``self(other(w))``.
@@ -516,7 +522,8 @@ class InitialAutomaton(_Record):
             out.append(table[rows])
         prefixes = [name + "_" for name in f.names]
         names = _dedupe_names([prefixes[key // n_g] + g.names[key % n_g] for key in order])
-        return InitialAutomaton(MealyAutomaton(self.k, names, delta, out), 0)
+        machine = MealyAutomaton._of(self.k, tuple(names), tuple(delta), tuple(out))
+        return InitialAutomaton._of(machine, 0)
 
     def minimize(self) -> "InitialAutomaton":
         """The smallest machine computing the same tree map.
@@ -549,7 +556,7 @@ class InitialAutomaton(_Record):
         names = tuple(m.names[order[r]] for r in reps)
         delta = tuple(tuple(map(labels.__getitem__, sub_delta[r])) for r in reps)
         out = tuple(sub_out[r] for r in reps)
-        return InitialAutomaton(MealyAutomaton(m.k, names, delta, out), labels[0])
+        return InitialAutomaton._of(MealyAutomaton._of(m.k, names, delta, out), labels[0])
 
     def equivalent(self, other: "InitialAutomaton") -> bool:
         """Whether both machines transform every word identically.
@@ -597,9 +604,7 @@ class AutomatonFile(_Record):
     def __init__(
         self, automaton: MealyAutomaton, initial: int | None, labels: AbelianLabels | None
     ):
-        _set(self, "automaton", automaton)
-        _set(self, "initial", initial)
-        _set(self, "labels", labels)
+        super().__init__(automaton, initial, labels)
         if initial is not None:
             _check_index(initial, "initial state index", automaton.n_states, AutomatonError)
         _moduli(automaton, labels)  # one label row per state
@@ -638,7 +643,9 @@ def parse_automaton(text: str) -> AutomatonFile:
         label <name> <c1> ... <cr>
 
     States may refer to states declared later.  When an ``abelian``
-    directive is present, every state needs a ``label`` line.
+    directive is present, every state needs a ``label`` line.  Lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at the other breaks of
+    ``str.splitlines``, so a form feed in a comment ends no line.
     """
     k = None
     state_rows = []
@@ -646,7 +653,8 @@ def parse_automaton(text: str) -> AutomatonFile:
     initial_ref = None
     moduli = None
     label_rows = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue

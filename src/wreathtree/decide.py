@@ -31,7 +31,6 @@ from .automaton import (
     _is_int,
     _moduli,
     _Record,
-    _set,
 )
 from .modmath import EventuallyPeriodicStream, char_poly_mod, series_stream, series_terms
 
@@ -64,8 +63,7 @@ class ConjugacyVerdict(_Record):
     __slots__ = ("status", "reason")
 
     def __init__(self, status: ConjugacyStatus, reason: str):
-        _set(self, "status", status)
-        _set(self, "reason", reason)
+        super().__init__(status, reason)
 
 
 def _first_non_unit(stream: EventuallyPeriodicStream) -> int | None:

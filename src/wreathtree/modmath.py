@@ -41,7 +41,6 @@ from .automaton import (
     _check_residues,
     _label_vector,
     _Record,
-    _set,
     abelian_vector,
 )
 
@@ -62,9 +61,7 @@ class EventuallyPeriodicStream(_Record):
     __slots__ = ("modulus", "preperiod", "period")
 
     def __init__(self, modulus: int, preperiod, period):
-        _set(self, "modulus", modulus)
-        _set(self, "preperiod", tuple(preperiod))
-        _set(self, "period", tuple(period))
+        super().__init__(modulus, tuple(preperiod), tuple(period))
         self._check()
 
     def _check(self):
@@ -131,7 +128,7 @@ def coefficient_stream(
         r = seen.setdefault(w, size)
         if r < size:
             terms = [v[init] for v in seen]
-            return EventuallyPeriodicStream(m, tuple(terms[:r]), tuple(terms[r:]))
+            return EventuallyPeriodicStream._of(m, tuple(terms[:r]), tuple(terms[r:]))
         if size >= cap:
             raise IterationCapError(
                 f"visited more than {cap} distinct vectors without closing a cycle"

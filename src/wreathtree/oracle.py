@@ -10,7 +10,7 @@ closed-form analysis.
 from itertools import chain
 
 from .automaton import AbelianLabels, AutomatonError, InitialAutomaton
-from .automaton import _check_index, _label_vector, _Record, _set
+from .automaton import _check_index, _label_vector, _Record
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -23,10 +23,7 @@ class LevelOrbitReport(_Record):
     __slots__ = ("level", "orbit_count", "max_orbit", "transitive")
 
     def __init__(self, level: int, orbit_count: int, max_orbit: int, transitive: bool):
-        _set(self, "level", level)
-        _set(self, "orbit_count", orbit_count)
-        _set(self, "max_orbit", max_orbit)
-        _set(self, "transitive", transitive)
+        super().__init__(level, orbit_count, max_orbit, transitive)
 
 
 def _below(delta, s: int, depth: int):

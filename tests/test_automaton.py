@@ -146,6 +146,23 @@ def test_parse_error_carries_line_number():
 
 
 @pytest.mark.parametrize(
+    "char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["FF", "VT", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+def test_parse_ends_lines_only_at_newlines(char):
+    # str.splitlines breaks at each of these, which made the rest of a comment a directive
+    head = f"alphabet 2\n# a{char}state b perm 0 1 to b b\nstate a perm 1 0 to a a\n"
+    parsed = parse_automaton(head + "initial a\n")
+    assert parsed.automaton.names == ("a",) and parsed.initial == 0
+    for text in (head + "bogus\n", (head + "bogus\n").replace("\n", "\r\n")):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert str(err.value) == "line 4: unknown directive 'bogus'"
+    with pytest.raises(ParseError, match="line 4: unknown directive 'bogus'"):
+        parse_automaton(head.replace("\n", "\r") + "bogus")
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "alphabet 2\nalphabet 2\nstate a perm 0 1 to a a\n",

@@ -2,14 +2,18 @@
 
 Each record is built positionally and by keyword, compared, hashed,
 printed, mutated, pickled and copied; the reprs are the ones the
-dataclasses printed, written out literally.
+dataclasses printed, written out literally.  Records are checked where
+they enter, by their constructors; those the package derives are not
+checked again and equal their checked twins.
 """
 
 import copy
 import pickle
+import random
 
 import pytest
 
+from corpus import random_cyclic, random_labels
 from wreathtree.automaton import (
     AbelianLabels,
     AutomatonError,
@@ -18,10 +22,16 @@ from wreathtree.automaton import (
     MealyAutomaton,
     _Record,
     _set,
+    parse_automaton,
 )
 from wreathtree.decide import ConjugacyStatus, ConjugacyVerdict
-from wreathtree.modmath import EventuallyPeriodicStream
-from wreathtree.oracle import LevelOrbitReport
+from wreathtree.modmath import (
+    EventuallyPeriodicStream,
+    coefficient_stream,
+    incidence_matrix,
+    series_stream,
+)
+from wreathtree.oracle import LevelOrbitReport, conjugate_by
 
 MACHINE = MealyAutomaton(2, ("a", "e"), ((1, 0), (1, 1)), ((1, 0), (0, 1)))
 MACHINE_REPR = "MealyAutomaton(k=2, names=('a', 'e'), delta=((1, 0), (1, 1)), out=((1, 0), (0, 1)))"
@@ -142,3 +152,87 @@ CHECKED = [(cls, *bad) for cls, _, _, bad in RECORDS if bad is not None]
 def test_the_constructor_checks_still_fire(cls, fields, message):
     with pytest.raises(AutomatonError, match=message):
         cls(**fields)
+
+
+# ---------- records are checked where they enter ----------
+
+
+class Symbol(int):
+    pass
+
+
+def _machine(rng, k, n, symbol=int):
+    """A random machine whose names are 1, 1_0, 1_1, ...: the pairs (1_1, 1) and (1, 1_1) collide."""
+    delta = [[symbol(rng.randrange(n)) for _ in range(k)] for _ in range(n)]
+    out = [list(map(symbol, rng.sample(range(k), k))) for _ in range(n)]
+    names = ["_".join(format(i + 1, "b")) for i in range(n)]
+    return InitialAutomaton(MealyAutomaton(k, names, delta, out), rng.randrange(n))
+
+
+def _checked_twin(record):
+    """record rebuilt through the checking constructors, its record fields first."""
+    values = [_checked_twin(v) if isinstance(v, _Record) else v for v in record._values(record)]
+    return record.__class__(*values)
+
+
+def _assert_twin(record):
+    twin = _checked_twin(record)
+    assert twin == record and hash(twin) == hash(record)
+    for name in record.__slots__:  # no list passes for a tuple
+        assert getattr(twin, name).__class__ is getattr(record, name).__class__
+
+
+def _derived(f, g):
+    yield from (f.inverse(), f.compose(g), g.compose(f), f.minimize(), f.compose(g).minimize())
+    yield conjugate_by(f, g)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 11])
+def test_derived_records_equal_their_checked_twins(k):
+    rng = random.Random(k)
+    renamed = as_it_is = 0
+    for trial in range(25):
+        symbol = Symbol if trial % 5 == 0 else int
+        f, g = (_machine(rng, k, rng.randint(1, 5), symbol) for _ in range(2))
+        for record in _derived(f, g):
+            _assert_twin(record)
+            renamed += any(name.endswith("_2") for name in record.automaton.names)
+        as_it_is += f.minimize() is f  # the early return of a minimal machine
+        modulus = rng.choice([2, 3, 4, 12])
+        vector = tuple(rng.randrange(modulus) for _ in f.automaton.names)
+        matrix = incidence_matrix(f.automaton)
+        _assert_twin(coefficient_stream(matrix, (modulus, vector), f.initial))
+        _assert_twin(series_stream(f, random_labels(rng, f.automaton.n_states, (modulus,))))
+        _assert_twin(series_stream(random_cyclic(rng, k, 5)))
+    assert renamed and as_it_is  # both were met
+
+
+class Checked(Exception):
+    pass
+
+
+def _refuse(self):
+    raise Checked
+
+
+def test_only_the_constructors_check(monkeypatch):
+    rng = random.Random(5)
+    f, g = _machine(rng, 3, 6), _machine(rng, 3, 6)
+    twins = InitialAutomaton(MealyAutomaton(2, ("a", "b"), ((1, 1), (0, 0)), ((0, 1), (0, 1))), 0)
+    monkeypatch.setattr(MealyAutomaton, "_check", _refuse)
+    monkeypatch.setattr(EventuallyPeriodicStream, "_check", _refuse)
+    composed = f.compose(g)
+    for built in (f.inverse(), composed, composed.minimize(), conjugate_by(f, g)):
+        assert built.automaton.k == 3
+    assert twins.minimize().automaton.n_states == 1  # a rebuilt machine, not the input
+    stream = coefficient_stream(incidence_matrix(f.automaton), (4, (1,) * 6), f.initial)
+    assert stream.modulus == 4
+    for build in (
+        lambda: MealyAutomaton(2, ("a",), ((0, 0),), ((1, 0),)),
+        lambda: parse_automaton("alphabet 2\nstate a perm 1 0 to a a\n"),
+        lambda: pickle.loads(pickle.dumps(composed)),
+        lambda: copy.copy(composed.automaton),
+        lambda: EventuallyPeriodicStream(5, (1,), (2,)),
+    ):
+        with pytest.raises(Checked):
+            build()
