@@ -15,6 +15,7 @@ analysis modules consume.
 """
 
 import re
+from itertools import count
 from operator import attrgetter, itemgetter
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -154,8 +155,9 @@ class _Record:
     subclass names two or more fields, and its explicit ``__init__``
     passes their values to ``_Record.__init__``, then checks them.
     Records are checked once, where they enter: a constructor checks
-    what it is given, and the records the package derives from checked
-    ones are built by ``_of``, unchecked.
+    what it is given, ``parse_automaton`` checks each line as it reads
+    it, and the records built from checked parts are built by ``_of``,
+    unchecked.
 
     Frozen dataclasses would do the same, but ``dataclasses`` imports
     ``inspect``, ``ast`` and ``tokenize`` and runs a code generator per
@@ -203,6 +205,17 @@ class _Record:
 _set = object.__setattr__
 
 
+def _check_permutations(k: int, names, out) -> None:
+    """Raise BadPermutationError at the first output row, in state order, that is no permutation."""
+    alphabet = list(range(k))
+    for name, row in zip(names, out):
+        for s in row:
+            if not (s.__class__ is int or _is_int(s)):
+                raise BadPermutationError(name, row)
+        if sorted(row) != alphabet:
+            raise BadPermutationError(name, row)
+
+
 class MealyAutomaton(_Record):
     """A finite Mealy automaton over the alphabet {0, ..., k-1}.
 
@@ -211,8 +224,9 @@ class MealyAutomaton(_Record):
     the symbol written.  Every output row is a permutation of the
     alphabet, so every machine computes tree automorphisms and has an
     inverse.  The constructor checks each table given to it; the machines
-    of ``inverse``, ``compose`` and ``minimize`` hold every rule by
-    construction and are not checked again.
+    of ``parse_automaton``, which checks them as it reads them, and of
+    ``inverse``, ``compose`` and ``minimize``, which hold every rule by
+    construction, are not checked again.
     """
 
     __slots__ = ("k", "names", "delta", "out")
@@ -239,13 +253,7 @@ class MealyAutomaton(_Record):
                 if not (t.__class__ is int or _is_int(t)) or not 0 <= t < n:
                     fault = "out of range" if _is_int(t) else f"not an integer: {t!r}"
                     raise AutomatonError(f"transition of state '{name}' at {a} is {fault}")
-        alphabet = list(range(k))
-        for name, row in zip(names, out):  # every transition is checked before any row
-            for s in row:
-                if not (s.__class__ is int or _is_int(s)):
-                    raise BadPermutationError(name, row)
-            if sorted(row) != alphabet:
-                raise BadPermutationError(name, row)
+        _check_permutations(k, names, out)  # every transition is checked before any row
 
     @property
     def n_states(self) -> int:
@@ -374,8 +382,6 @@ def _coerce_word(word, k: int):
 
 def _dedupe_names(bases: list[str]) -> list[str]:
     """The names, each repeat of an earlier one suffixed _2, _3, ... until it is new."""
-    if len(set(bases)) == len(bases):
-        return bases
     used = set()
     names = []
     for base in bases:
@@ -389,34 +395,40 @@ def _dedupe_names(bases: list[str]) -> list[str]:
 
 def _row_ids(rows) -> tuple[list[int], list[tuple]]:
     """Each row's index among the distinct rows, and those rows in first-seen order."""
-    ids = {}
-    return [ids.setdefault(row, len(ids)) for row in rows], list(ids)
+    ids = dict(zip(dict.fromkeys(rows), count()))
+    return list(map(ids.__getitem__, rows)), list(ids)
 
 
 def _behavior_classes(delta, out):
     """Partition states by behavior; returns first-appearance class ids.
 
-    Moore refinement: start from the output rows, then key each state by
-    its class and the classes of its whole successor row until no class
-    splits, or until every state is alone in its class, which no round
-    can split again.  Two states land in the same class iff they
-    transform every word identically.  Each round costs O(k n), and a
-    round is needed per depth at which two states are first told apart,
-    so the worst case is O(k n^2): a chain of copying states ending in
-    one flip takes a round per state, 3.1 to 3.9 s at 2,002 states
-    (Python 3.11, one core of a 2-core x86-64 Linux host).
+    Moore refinement (Moore, "Gedanken-experiments on sequential
+    machines", 1956): start from the output rows, then key each state by
+    its class and the classes of its successors until no class splits,
+    or until every state is alone in its class, which no round can split
+    again.  Two states land in the same class iff they transform every
+    word identically.  A round is whole-list passes: flat keys (class,
+    class at 0, ..., class at k-1), numbered by first appearance through
+    ``dict.fromkeys``.  Each round costs O(k n), and a round is needed
+    per depth at which two states are first told apart, so the worst
+    case is O(k n^2): a chain of copying states ending in one flip takes
+    a round per state, 1.3 to 1.7 s for ``minimize`` of the 2,002-state
+    ``tests/corpus.py`` ``tail_flip(2000)`` (Python 3.11, one core of a
+    2-core x86-64 Linux host).
     """
-    labels = _row_ids(out)[0]
-    while True:
-        ids = {}
+    n = len(out)
+    columns = list(zip(*delta))
+    labels, rows = _row_ids(out)
+    classes = len(rows)
+    while classes < n:
         at = labels.__getitem__
-        refined = [
-            ids.setdefault((label, tuple(map(at, row))), len(ids))
-            for label, row in zip(labels, delta)
-        ]
-        if len(ids) == len(refined) or refined == labels:
-            return refined
-        labels = refined
+        keys = list(zip(labels, *[map(at, column) for column in columns]))
+        ids = dict(zip(dict.fromkeys(keys), count()))
+        if len(ids) == classes:  # no class split, so the numbering is unchanged
+            return labels
+        classes = len(ids)
+        labels = list(map(ids.__getitem__, keys)) if classes < n else list(range(n))
+    return labels
 
 
 class InitialAutomaton(_Record):
@@ -491,6 +503,11 @@ class InitialAutomaton(_Record):
         states.  With f's successor rows scaled to key parts (times n_g) and
         g's rows zipped to (output, successor) pairs before the walk, a state
         costs k additions, k small-integer lookups and one new tuple.
+
+        A pair is named p's name, ``_``, then q's name.  Two pairs can read
+        alike only when one of f's names is another one, ``_`` and more, so
+        only then are the names numbered apart; the test reads f's n_f
+        names, not a set of every product name.
         """
         _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
@@ -520,8 +537,13 @@ class InitialAutomaton(_Record):
             if rows not in table:
                 table[rows] = tuple(map(f.out[p].__getitem__, g.out[q]))
             out.append(table[rows])
+        del index, find  # the walk is over: free its table before the names are built
         prefixes = [name + "_" for name in f.names]
-        names = _dedupe_names([prefixes[key // n_g] + g.names[key % n_g] for key in order])
+        names = [prefixes[key // n_g] + g.names[key % n_g] for key in order]
+        del order, meet
+        known = set(f.names)
+        if any(name[:i] in known for name in f.names for i, c in enumerate(name) if c == "_"):
+            names = _dedupe_names(names)
         machine = MealyAutomaton._of(self.k, tuple(names), tuple(delta), tuple(out))
         return InitialAutomaton._of(machine, 0)
 
@@ -532,9 +554,10 @@ class InitialAutomaton(_Record):
         that behave identically, by Moore refinement: O(k n^2) in the
         worst case, one round per depth of distinguishability (see
         ``_behavior_classes``).  Merged states take the name of their
-        earliest member in breadth-first discovery order.  A machine that
-        is already minimal and numbered so, every state reachable and met
-        in declaration order from the start 0, is returned as it is.
+        earliest member in breadth-first discovery order.  When the walk
+        meets every state in declaration order from the start 0, the
+        tables are refined as they are, with no renumbered copy, and a
+        machine that is also minimal is returned as it is.
         """
         m = self.automaton
         order = [self.initial]
@@ -544,10 +567,14 @@ class InitialAutomaton(_Record):
                 if t not in pos:
                     pos[t] = len(order)
                     order.append(t)
-        sub_delta = [tuple(map(pos.__getitem__, m.delta[q])) for q in order]
-        sub_out = [m.out[q] for q in order]
+        in_order = order == list(range(m.n_states))
+        if in_order:  # already numbered as the walk meets them: refine the tables as they are
+            sub_delta, sub_out = m.delta, m.out
+        else:
+            sub_delta = [tuple(map(pos.__getitem__, m.delta[q])) for q in order]
+            sub_out = [m.out[q] for q in order]
         labels = _behavior_classes(sub_delta, sub_out)
-        if labels[-1] == len(labels) - 1 and order == list(range(m.n_states)):
+        if in_order and labels[-1] == len(labels) - 1:
             return self  # all singletons, no renumbering: the rebuild would equal self
         reps = []
         for i, c in enumerate(labels):
@@ -724,12 +751,10 @@ def parse_automaton(text: str) -> AutomatonFile:
                 raise UnknownStateError(t, lineno)
             drow.append(seen[t])
         delta.append(tuple(drow))
-    automaton = MealyAutomaton(
-        k,
-        tuple(name for name, _, _, _ in state_rows),
-        tuple(delta),
-        tuple(row for _, row, _, _ in state_rows),
-    )
+    names = tuple(name for name, _, _, _ in state_rows)
+    out = tuple(row for _, row, _, _ in state_rows)
+    _check_permutations(k, names, out)  # the lines above checked every other rule
+    automaton = MealyAutomaton._of(k, names, tuple(delta), out)
     initial = None
     if initial_ref is not None:
         name, lineno = initial_ref

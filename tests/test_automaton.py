@@ -2,7 +2,9 @@ import contextlib
 import io
 import itertools
 import os
+import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -1081,14 +1083,64 @@ def test_compose_and_inverse_keep_the_reference_numbering(rng):
     assert renamed > 10
 
 
+def _two_states(names, delta):
+    return InitialAutomaton(MealyAutomaton(2, names, delta, ((0, 1), (1, 0))), 0)
+
+
 def test_compose_numbering_with_colliding_names_matches_the_reference():
-    # a_b with c and a with b_c both read a_b_c, in either order of the pairs
-    for f_names, g_names in ((("a_b", "a"), ("c", "b_c")), (("a", "a_b"), ("b_c", "c"))):
-        f = InitialAutomaton(MealyAutomaton(2, f_names, ((1, 1), (0, 1)), ((0, 1), (1, 0))), 0)
-        g = InitialAutomaton(MealyAutomaton(2, g_names, ((1, 0), (1, 1)), ((0, 1), (1, 0))), 0)
+    cases = [
+        # a_b with c and a with b_c both read a_b_c, in either order of the pairs
+        (("a_b", "a"), ("c", "b_c"), True),
+        (("a", "a_b"), ("b_c", "c"), True),
+        # a_ with c and a with _c both read a__c: the "more" may sit in g's name alone
+        (("a", "a_"), ("_c", "c"), True),
+        # a_b extends a by _, but no name of g starts with b_, so no pair collides
+        (("a", "a_b"), ("c", "d"), False),
+        # g's names hold _ and f's do not
+        (("a", "b"), ("c_d", "a_c"), False),
+    ]
+    for f_names, g_names, collide in cases:
+        f = _two_states(f_names, ((1, 1), (0, 1)))
+        g = _two_states(g_names, ((1, 0), (1, 1)))
         for x, y in ((f, g), (g, f)):
             assert _parts(x.compose(y)) == _reference_compose(x, y)
-        assert "a_b_c_2" in _parts(f.compose(g))[0]
+        # no name given ends in _2, so only a renamed collision does
+        assert any(name.endswith("_2") for name in f.compose(g).automaton.names) == collide
+    # names that already carry a suffix: a_b_c_2 is a_b_c, _ and more
+    fg = _two_states(("a_b", "a"), ((1, 1), (0, 1)))
+    fg = fg.compose(_two_states(("c", "b_c"), ((1, 0), (1, 1))))
+    tail = _two_states(("2_d", "d"), ((1, 0), (1, 1)))
+    assert "a_b_c_2" in fg.automaton.names
+    for x, y in ((fg, tail), (tail, fg), (fg, fg)):
+        assert _parts(x.compose(y)) == _reference_compose(x, y)
+    assert "a_b_c_2_d_2" in fg.compose(tail).automaton.names
+
+
+def test_compose_peak_memory_stays_near_the_size_of_its_result():
+    # the walk's pair index is freed before the names are built, and no set holds every name
+    rng = random.Random(20)
+    f, g = (
+        InitialAutomaton(
+            MealyAutomaton(
+                2,
+                [f"q{i}" for i in range(130)],
+                [(rng.randrange(130), rng.randrange(130)) for _ in range(130)],
+                [rng.choice(((0, 1), (1, 0))) for _ in range(130)],
+            ),
+            0,
+        )
+        for _ in range(2)
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        product = f.compose(g)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product.automaton.n_states > 4000
+    assert peak - base < 1.5 * (size - base)
 
 
 # ---------- minimization and equivalence ----------

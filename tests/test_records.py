@@ -3,8 +3,8 @@
 Each record is built positionally and by keyword, compared, hashed,
 printed, mutated, pickled and copied; the reprs are the ones the
 dataclasses printed, written out literally.  Records are checked where
-they enter, by their constructors; those the package derives are not
-checked again and equal their checked twins.
+they enter, by their constructors and by ``parse_automaton``; those the
+package derives are not checked again and equal their checked twins.
 """
 
 import copy
@@ -18,8 +18,11 @@ from wreathtree.automaton import (
     AbelianLabels,
     AutomatonError,
     AutomatonFile,
+    BadPermutationError,
     InitialAutomaton,
     MealyAutomaton,
+    ParseError,
+    UnknownStateError,
     _Record,
     _set,
     parse_automaton,
@@ -229,10 +232,30 @@ def test_only_the_constructors_check(monkeypatch):
     assert stream.modulus == 4
     for build in (
         lambda: MealyAutomaton(2, ("a",), ((0, 0),), ((1, 0),)),
-        lambda: parse_automaton("alphabet 2\nstate a perm 1 0 to a a\n"),
         lambda: pickle.loads(pickle.dumps(composed)),
         lambda: copy.copy(composed.automaton),
         lambda: EventuallyPeriodicStream(5, (1,), (2,)),
     ):
         with pytest.raises(Checked):
             build()
+    # parsing checks each line as it reads it, then the output rows once
+    parsed = parse_automaton("alphabet 2\nstate a perm 1 0 to a a\n")
+    assert parsed.automaton == MealyAutomaton._of(2, ("a",), ((0, 0),), ((1, 0),))
+    for states, error, message in (
+        ("state a-b perm 0 1 to a a\n", ParseError, "line 2: bad state name 'a-b'"),
+        (
+            "state a perm 0 1 to a a\nstate a perm 1 0 to a a\n",
+            ParseError,
+            "line 3: duplicate state 'a'",
+        ),
+        ("state a perm 0 0 to a zz\n", UnknownStateError, "line 2: unknown state 'zz'"),
+        (
+            "state a perm 0 1 to a b\nstate b perm 1 1 to a a\n",
+            BadPermutationError,
+            "output row (1, 1) of state 'b' is not a permutation of the alphabet",
+        ),
+    ):
+        with pytest.raises(AutomatonError) as err:
+            parse_automaton("alphabet 2\n" + states)
+        assert type(err.value) is error and str(err.value) == message
+
