@@ -223,10 +223,13 @@ class MealyAutomaton(_Record):
     entered after reading symbol ``a`` in state ``q`` and ``out[q][a]``
     the symbol written.  Every output row is a permutation of the
     alphabet, so every machine computes tree automorphisms and has an
-    inverse.  The constructor checks each table given to it; the machines
-    of ``parse_automaton``, which checks them as it reads them, and of
-    ``inverse``, ``compose`` and ``minimize``, which hold every rule by
-    construction, are not checked again.
+    inverse: the constructor raises ``BadPermutationError`` for a row that
+    is not one, so ``inverse`` needs no check of its own.  The constructor
+    checks each table given to it in one plain pass per rule, and refuses
+    a ``bool`` as a transition target or output symbol, as it is refused
+    as a residue.  The machines of ``parse_automaton``, which checks them
+    as it reads them, and of ``inverse``, ``compose`` and ``minimize``,
+    which hold every rule by construction, are not checked again.
     """
 
     __slots__ = ("k", "names", "delta", "out")
@@ -285,7 +288,11 @@ class AbelianLabels(_Record):
 
 
 def _moduli(m: MealyAutomaton, labels: AbelianLabels | None) -> tuple[int, ...]:
-    """The moduli of the labels, which need one row per state, or (k,) for the shifts."""
+    """The moduli of the labels, which need one row per state, or (k,) for the shifts.
+
+    With ``_label_vector`` this is the label rule, written once: every
+    series, the simulator's level sums and the CLI read labels here.
+    """
     if labels is None:
         return (m.k,)
     if len(labels.labels) != m.n_states:
@@ -300,7 +307,7 @@ def abelian_vector(labels: AbelianLabels, component: int) -> tuple[int, tuple[in
 
 
 def _label_vector(m: MealyAutomaton, labels: AbelianLabels | None, component: int):
-    """One component of m's labels as (modulus, residues); every series reads labels here.
+    """One component of m's labels as (modulus, residues), read by the rule of ``_moduli``.
 
     With no labels the one component is each state's shift e, where the
     state writes a -> a+e mod k, and the output rows are judged before
@@ -323,7 +330,7 @@ def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:
     returned labels hold those shifts, one residue per state, with the
     single modulus k.
     """
-    return AbelianLabels(_moduli(m, None), tuple((e,) for e in _label_vector(m, None, 0)[1]))
+    return AbelianLabels._of(_moduli(m, None), tuple((e,) for e in _label_vector(m, None, 0)[1]))
 
 
 def _read_int(text: str) -> int | None:
@@ -412,9 +419,7 @@ def _behavior_classes(delta, out):
     ``dict.fromkeys``.  Each round costs O(k n), and a round is needed
     per depth at which two states are first told apart, so the worst
     case is O(k n^2): a chain of copying states ending in one flip takes
-    a round per state, 1.3 to 1.7 s for ``minimize`` of the 2,002-state
-    ``tests/corpus.py`` ``tail_flip(2000)`` (Python 3.11, one core of a
-    2-core x86-64 Linux host).
+    a round per state.
     """
     n = len(out)
     columns = list(zip(*delta))
@@ -472,7 +477,7 @@ class InitialAutomaton(_Record):
         state = self.initial
         for a in symbols:
             state = self.automaton.delta[state][a]
-        return InitialAutomaton(self.automaton, state)
+        return InitialAutomaton._of(self.automaton, state)
 
     def inverse(self) -> "InitialAutomaton":
         """The machine computing the inverse tree map.
@@ -499,15 +504,17 @@ class InitialAutomaton(_Record):
         reading a, moves to (p at q's output of a, q at a).  A pair is keyed
         by the integer p * n_g + q; its output row is shared from a table on
         the ids of p's and q's distinct rows, filled as met, so it holds at
-        most min(k!, n_f) * min(k!, n_g) rows and no more than the product's
-        states.  With f's successor rows scaled to key parts (times n_g) and
-        g's rows zipped to (output, successor) pairs before the walk, a state
-        costs k additions, k small-integer lookups and one new tuple.
+        most min(k!, n_f) * min(k!, n_g) rows (36 at k <= 3) and no more than
+        the product's states.  With f's successor rows scaled to key parts
+        (times n_g) and g's rows zipped to (output, successor) pairs before
+        the walk, a state costs k additions, k small-integer lookups and one
+        new tuple.
 
-        A pair is named p's name, ``_``, then q's name.  Two pairs can read
-        alike only when one of f's names is another one, ``_`` and more, so
-        only then are the names numbered apart; the test reads f's n_f
-        names, not a set of every product name.
+        The walk's pair index is freed before the names are built.  A pair
+        is named p's name, ``_``, then q's name.  Two pairs can read alike
+        only when one of f's names is another one, ``_`` and more, so only
+        then are the names numbered apart (see ``_dedupe_names``); the test
+        reads f's n_f names, not a set of every product name.
         """
         _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
@@ -596,7 +603,9 @@ class InitialAutomaton(_Record):
         skipped; otherwise its output rows must agree, its two classes
         merge and its k successor pairs are pushed.  Each merge removes
         a class, so at most n_f + n_g - 1 pairs push, and with union by
-        rank and path halving the cost is O(k (n_f + n_g) α(n_f + n_g)).
+        rank and path halving the cost is O(k (n_f + n_g) α(n_f + n_g)),
+        near-linear in the states of both machines, and the first pair
+        whose output rows differ ends the search.
         """
         _check_alphabets(self, other)
         f, g = self.automaton, other.automaton
@@ -639,7 +648,7 @@ class AutomatonFile(_Record):
     def initial_automaton(self) -> InitialAutomaton:
         if self.initial is None:
             raise MissingInitialError("the automaton text declares no initial state")
-        return InitialAutomaton(self.automaton, self.initial)
+        return InitialAutomaton._of(self.automaton, self.initial)
 
 
 def _int_token(tok: str, line: int) -> int:
@@ -673,6 +682,10 @@ def parse_automaton(text: str) -> AutomatonFile:
     directive is present, every state needs a ``label`` line.  Lines end
     at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at the other breaks of
     ``str.splitlines``, so a form feed in a comment ends no line.
+
+    Each line is checked as it is read, by the rule its record's
+    constructor uses, and the output rows once at the end, by the rule
+    of ``MealyAutomaton``; the records are then built unchecked.
     """
     k = None
     state_rows = []
@@ -771,8 +784,8 @@ def parse_automaton(text: str) -> AutomatonFile:
             if name not in label_rows:
                 raise ParseError(f"missing label for state '{name}'")
             rows.append(label_rows[name][0])
-        labels = AbelianLabels(moduli, tuple(rows))
-    return AutomatonFile(automaton, initial, labels)
+        labels = AbelianLabels._of(moduli, tuple(rows))
+    return AutomatonFile._of(automaton, initial, labels)
 
 
 def serialize_automaton(

@@ -99,9 +99,9 @@ def abelianization_equal(
     product of cyclic groups, compared component by component over the
     shared moduli, which are matched before any output row is judged
     cyclic.  Each component iterates the two machines side by side and
-    compares their series term by term.  Returns (equal, witness) where
-    the witness is the least series index at which any component
-    differs, or None.
+    compares their series term by term, with no cycle search.  Returns
+    (equal, witness) where the witness is the least series index at
+    which any component differs, or None.
 
     The pair of j-th iterates of f and g is the j-th iterate of the
     block-diagonal matrix diag(A_f, A_g) on d = n_f + n_g coordinates,
@@ -129,12 +129,14 @@ def conjugate(f: InitialAutomaton, g: InitialAutomaton) -> ConjugacyVerdict:
     """Three-valued conjugacy test inside the iterated wreath product.
 
     The abelianization series is a class function on the group, so
-    differing series prove the elements are not conjugate.  Equal series
-    also mean equal transitivity, since the series alone says whether
-    every coefficient is a unit, so one transitivity test settles both
-    elements.  For two transitive elements equal series are a complete
-    conjugacy invariant.  When neither is transitive the series says
-    nothing more and the verdict is left undecided rather than guessed.
+    differing series prove the elements are not conjugate.  Machines
+    that act alike (``equivalent``) are conjugate by the identity.  Equal
+    series also mean equal transitivity, since the series alone says
+    whether every coefficient is a unit, so one transitivity test settles
+    both elements.  For two transitive elements equal series are a
+    complete conjugacy invariant.  When neither is transitive the series
+    says nothing more and the verdict is left undecided rather than
+    guessed.
     """
     equal, witness = abelianization_equal(f, g)
     if not equal:
@@ -142,6 +144,11 @@ def conjugate(f: InitialAutomaton, g: InitialAutomaton) -> ConjugacyVerdict:
             ConjugacyStatus.NOT_CONJUGATE,
             f"the abelianization series, a conjugacy invariant, first differ "
             f"at index {witness}",
+        )
+    if f.equivalent(g):
+        return ConjugacyVerdict(
+            ConjugacyStatus.CONJUGATE,
+            "the machines act alike, so the identity conjugates one to the other",
         )
     if is_spherically_transitive(f).transitive:
         return ConjugacyVerdict(
@@ -203,7 +210,8 @@ def rational_form(
     N has degree at most n - 1; and N = D S exactly over Z.  Hence
     N = D S mod t^n, built from the first n stream terms, and reducing
     mod m commutes with both steps: the pair is the two Z[t]
-    determinants reduced mod m, with no big integers on the way.
+    determinants reduced mod m, with no big integers on the way.  The
+    pair is returned as it is, not reduced.
     """
     m, terms = series_terms(g, labels, component)
     delta = g.automaton.delta

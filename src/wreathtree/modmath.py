@@ -36,12 +36,10 @@ from .automaton import (
     DimensionMismatchError,
     InitialAutomaton,
     MealyAutomaton,
-    NegativeIndexError,
     _check_index,
     _check_residues,
     _label_vector,
     _Record,
-    abelian_vector,
 )
 
 DEFAULT_VISIT_CAP = 10_000_000
@@ -142,6 +140,7 @@ def series_stream(
 
     Its terms sum one label component, given one row per state, or by
     default each state's shift mod k, which needs cyclic output rows.
+    ``is_spherically_transitive`` and the ``coeffs`` command read it.
     """
     vector = _label_vector(g.automaton, labels, component)
     return coefficient_stream(incidence_matrix(g.automaton), vector, g.initial)
@@ -150,7 +149,12 @@ def series_stream(
 def series_terms(
     g: InitialAutomaton, labels: AbelianLabels | None = None, component: int = 0
 ):
-    """g's series as (m, its terms one by one), with the labels read as by ``series_stream``."""
+    """g's series as (m, its terms one by one), with the labels read as by ``series_stream``.
+
+    The terms are lazy, one kernel step each, for callers that read only
+    a bounded prefix: ``abelianization_equal`` and ``rational_form`` read
+    the series through this alone.
+    """
     m, v = _label_vector(g.automaton, labels, component)
     return m, map(itemgetter(g.initial), _iterates(incidence_matrix(g.automaton), v, m))
 

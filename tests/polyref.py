@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from wreathtree import RationalSeries
-from wreathtree.modmath import DimensionMismatchError
+from wreathtree.automaton import DimensionMismatchError
 
 
 @dataclass(frozen=True)

@@ -130,3 +130,27 @@ def test_the_package_imports_only_itself_and_the_standard_library():
     for path in paths:
         for level, module in _imports(path):
             assert level or module.partition(".")[0] in sys.stdlib_module_names, (path.name, module)
+
+
+def _unused_package_imports(path):
+    """Names a module imports from the package but never reads, annotations included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.partition(".")[0] == "wreathtree")
+        for alias in node.names
+    }
+    # annotations are expressions in the tree, so a name read only there counts
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_name_a_module_imports_from_the_package_is_used():
+    # each name has one home: a module imports a package name only to use
+    # it, never to offer it again; __init__ exists to re-export
+    paths = sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})
+    assert len(paths) == 5
+    for path in paths:
+        assert _unused_package_imports(path) == [], path.name

@@ -30,7 +30,6 @@ from wreathtree import (
     to_dot,
     validate_cyclic,
 )
-from wreathtree import modmath
 from wreathtree.automaton import (
     AlphabetMismatchError,
     AutomatonFile,
@@ -450,10 +449,6 @@ def test_every_owner_words_the_label_rule_alike(owner):
             "DimensionMismatchError",
             f"{len(rows)} label rows for 2 states",
         )
-
-
-def test_negative_index_error_is_importable_from_modmath():
-    assert modmath.NegativeIndexError is NegativeIndexError
 
 
 @pytest.mark.parametrize(

@@ -230,38 +230,95 @@ def test_equality_guards(odometer):
 
 
 def test_conjugacy_fixture_verdicts(odometer, lamp_a, lamp_b):
+    # odometer and decrementer act differently, so the series decide
+    assert not odometer.equivalent(corpus.decrementer())
     both = conjugate(odometer, corpus.decrementer())
     assert both.status is ConjugacyStatus.CONJUGATE
+    assert both.reason == "both spherically transitive with equal abelianization series"
     one = conjugate(odometer, lamp_b)
     assert one.status is ConjugacyStatus.NOT_CONJUGATE
     differ = conjugate(lamp_a, lamp_b)
     assert differ.status is ConjugacyStatus.NOT_CONJUGATE
     assert "index 0" in differ.reason
-    neither = conjugate(corpus.identity_machine(2), corpus.second_letter_flip())
+    # criterion 06: both series are zero, yet the flip moves the second letter
+    identity, flip = corpus.identity_machine(2), corpus.second_letter_flip()
+    assert not identity.equivalent(flip)
+    neither = conjugate(identity, flip)
     assert neither.status is ConjugacyStatus.UNDECIDED
+    assert neither.reason.startswith("neither element is spherically transitive")
+    assert conjugate(flip, identity) == neither
     for verdict in (both, one, differ, neither):
         assert verdict.reason
 
 
 def test_conjugate_checks_the_series_first(rng):
+    twins = 0
     for _ in range(60):
         k = rng.choice([2, 3])
         f = corpus.random_cyclic(rng, k, max_states=3)
-        if rng.random() < 0.5:
+        padded = rng.random() < 0.5
+        if padded:
             g, _ = corpus.pad_unreachable(f, validate_cyclic(f.automaton), rng)
         else:
             g = corpus.random_cyclic(rng, k, max_states=3)
         equal, witness = abelianization_equal(f, g)
         verdict = conjugate(f, g)
         if not equal:
+            assert not padded
             assert verdict.status is ConjugacyStatus.NOT_CONJUGATE
             assert verdict.reason.endswith(f"at index {witness}")
             continue
         transitive = is_spherically_transitive(f).transitive
         # equal series imply equal transitivity
         assert is_spherically_transitive(g).transitive == transitive
+        if f.equivalent(g):  # every padded twin, and any pair that acts alike
+            twins += padded
+            assert verdict.status is ConjugacyStatus.CONJUGATE
+            assert "identity" in verdict.reason
+            continue
+        assert not padded
         expected = ConjugacyStatus.CONJUGATE if transitive else ConjugacyStatus.UNDECIDED
         assert verdict.status is expected
+    assert twins
+
+
+def _shuffled_double(g, rng):
+    """g's machine with every state doubled and the states shuffled: same action, twice the states.
+
+    Copy c of state q is state order[2 q + c], and each successor is a
+    copy of the old target picked at random, so the two copies of q may
+    have different rows in the table, yet both act as q.
+    """
+    m = g.automaton
+    order = list(range(2 * m.n_states))
+    rng.shuffle(order)
+    names, delta, out = [None] * len(order), [None] * len(order), [None] * len(order)
+    for q in range(m.n_states):
+        for c in range(2):
+            s = order[2 * q + c]
+            names[s] = f"{m.names[q]}_{c}"
+            delta[s] = tuple(order[2 * t + rng.randrange(2)] for t in m.delta[q])
+            out[s] = m.out[q]
+    return InitialAutomaton(MealyAutomaton(m.k, names, delta, out), order[2 * g.initial])
+
+
+def test_equivalent_machines_are_conjugate(rng):
+    # non-transitive machines, which the series alone leaves undecided
+    seen = 0
+    while seen < 40:
+        f = corpus.random_cyclic(rng, rng.choice([2, 3]), max_states=4)
+        if is_spherically_transitive(f).transitive:
+            continue
+        seen += 1
+        padded, _ = corpus.pad_unreachable(f, validate_cyclic(f.automaton), rng)
+        for twin in (padded, _shuffled_double(f, rng)):
+            assert twin.automaton != f.automaton
+            assert f.equivalent(twin)
+            for verdict in (conjugate(f, twin), conjugate(twin, f)):
+                assert verdict.status is ConjugacyStatus.CONJUGATE
+                assert verdict.reason == (
+                    "the machines act alike, so the identity conjugates one to the other"
+                )
 
 
 def test_transitive_elements_with_distinct_series_are_not_conjugate():

@@ -12,13 +12,15 @@ from wreathtree import (
     series_expand,
     validate_cyclic,
 )
-from wreathtree.automaton import BadComponentError
-from wreathtree.modmath import (
+from wreathtree.automaton import (
+    BadComponentError,
     DimensionMismatchError,
-    EventuallyPeriodicStream,
     NegativeIndexError,
+    abelian_vector,
+)
+from wreathtree.modmath import (
+    EventuallyPeriodicStream,
     NonUnitConstantTermError,
-    abelian_vector,  # defined in automaton; modmath re-exports it
     char_poly_mod,
     series_stream,
     series_terms,

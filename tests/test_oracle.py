@@ -25,9 +25,11 @@ from wreathtree import oracle
 from wreathtree.automaton import (
     AlphabetMismatchError,
     BadComponentError,
+    DimensionMismatchError,
+    NegativeIndexError,
     NotCyclicError,
 )
-from wreathtree.modmath import DimensionMismatchError, NegativeIndexError, series_stream
+from wreathtree.modmath import series_stream
 from wreathtree.oracle import LevelOrbitReport, LevelTooLargeError
 
 

@@ -26,6 +26,8 @@ from wreathtree.automaton import (
     _Record,
     _set,
     parse_automaton,
+    serialize_automaton,
+    validate_cyclic,
 )
 from wreathtree.decide import ConjugacyStatus, ConjugacyVerdict
 from wreathtree.modmath import (
@@ -210,11 +212,32 @@ def test_derived_records_equal_their_checked_twins(k):
     assert renamed and as_it_is  # both were met
 
 
+@pytest.mark.parametrize("k", [2, 3, 11])
+def test_records_built_from_checked_parts_equal_their_checked_twins(k):
+    rng = random.Random(100 + k)
+    for _ in range(20):
+        g = random_cyclic(rng, k, 5)
+        moduli = rng.sample([2, 3, 4, 5, 12], rng.randint(1, 3))
+        labels = random_labels(rng, g.automaton.n_states, moduli)
+        parsed = parse_automaton(serialize_automaton(g.automaton, g.initial, labels))
+        _assert_twin(parsed)
+        _assert_twin(parsed.labels)
+        g = parsed.initial_automaton()
+        _assert_twin(g)
+        _assert_twin(validate_cyclic(g.automaton))
+        for q in range(g.automaton.n_states):  # a section at every state, and below it
+            start = InitialAutomaton(g.automaton, q)
+            _assert_twin(start.section(()))
+            for a in range(k):
+                _assert_twin(start.section((a,)))
+                _assert_twin(start.section((a, rng.randrange(k))))
+
+
 class Checked(Exception):
     pass
 
 
-def _refuse(self):
+def _refuse(self, *args):
     raise Checked
 
 
@@ -224,6 +247,8 @@ def test_only_the_constructors_check(monkeypatch):
     twins = InitialAutomaton(MealyAutomaton(2, ("a", "b"), ((1, 1), (0, 0)), ((0, 1), (0, 1))), 0)
     monkeypatch.setattr(MealyAutomaton, "_check", _refuse)
     monkeypatch.setattr(EventuallyPeriodicStream, "_check", _refuse)
+    monkeypatch.setattr(InitialAutomaton, "__init__", _refuse)
+    monkeypatch.setattr(AutomatonFile, "__init__", _refuse)
     composed = f.compose(g)
     for built in (f.inverse(), composed, composed.minimize(), conjugate_by(f, g)):
         assert built.automaton.k == 3
@@ -235,12 +260,22 @@ def test_only_the_constructors_check(monkeypatch):
         lambda: pickle.loads(pickle.dumps(composed)),
         lambda: copy.copy(composed.automaton),
         lambda: EventuallyPeriodicStream(5, (1,), (2,)),
+        lambda: InitialAutomaton(composed.automaton, 0),
+        lambda: AutomatonFile(composed.automaton, 0, None),
     ):
         with pytest.raises(Checked):
             build()
     # parsing checks each line as it reads it, then the output rows once
     parsed = parse_automaton("alphabet 2\nstate a perm 1 0 to a a\n")
     assert parsed.automaton == MealyAutomaton._of(2, ("a",), ((0, 0),), ((1, 0),))
+    odometer = parse_automaton(
+        "alphabet 2\nstate a perm 1 0 to e a\nstate e perm 0 1 to e e\ninitial a\n"
+        "abelian 2\nlabel a 1\nlabel e 0\n"
+    )
+    assert odometer.initial == 0 and odometer.labels.labels == ((1,), (0,))
+    start = odometer.initial_automaton()
+    assert start.apply("1101") == "0011"
+    assert start.section("1").initial == 0 and start.section("0").initial == 1
     for states, error, message in (
         ("state a-b perm 0 1 to a a\n", ParseError, "line 2: bad state name 'a-b'"),
         (
@@ -259,3 +294,25 @@ def test_only_the_constructors_check(monkeypatch):
             parse_automaton("alphabet 2\n" + states)
         assert type(err.value) is error and str(err.value) == message
 
+
+def test_label_rows_are_checked_once_as_they_are_read(monkeypatch):
+    checks = []
+    check = AbelianLabels._check
+
+    def counted(self):
+        checks.append(self.labels)
+        check(self)
+
+    monkeypatch.setattr(AbelianLabels, "_check", counted)
+    rng = random.Random(9)
+    for n in (1, 2, 5):
+        g = random_cyclic(rng, 3, n, min_states=n)
+        text = serialize_automaton(g.automaton, g.initial, random_labels(rng, n, (3, 4)))
+        checks.clear()
+        parsed = parse_automaton(text)
+        # the abelian line, then each label line; the rows are not checked again
+        assert len(checks) == n + 1
+        assert checks == [()] + [(row,) for row in parsed.labels.labels]
+        checks.clear()
+        validate_cyclic(parsed.automaton)
+        assert checks == []
