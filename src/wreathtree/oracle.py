@@ -4,10 +4,15 @@ Nothing in this module looks at incidence matrices or streams: every
 word of a level is enumerated, its label or image read from a table
 of its state after the first n - d letters (see ``_depth``), which
 makes these functions slow but independent cross-checks for the
-closed-form analysis.
+closed-form analysis.  A label table is one integer, the labels below
+its state in fixed-width lanes, so a level sum adds a whole table with
+one big-integer addition per prefix; every label is still added once,
+and none is multiplied or summed ahead of time.
 """
 
+from functools import reduce
 from itertools import chain
+from operator import or_
 
 from .automaton import AbelianLabels, AutomatonError, InitialAutomaton
 from .automaton import _check_index, _label_vector, _Record
@@ -56,11 +61,13 @@ def _depth(g: InitialAutomaton, n: int) -> int:
     table over its k^d suffixes, and the words below u read the table
     of the state reached at u whole: the label of u v is the label at v
     below s, and the image of u v is the image of u followed by that of
-    v under s.  d is n // 2, lowered while n_states * k^d exceeds
-    k^(n-d), but never below 1 once n >= 1, so the tables hold
-    n_states * k^d <= max(n_states * k, k^(n-d)) entries.  A negative
-    level, or one of more than ``DEFAULT_WORD_CAP`` words, is refused
-    before any work.
+    v under s.  An image table is a list; a label table is one
+    integer holding its k^d labels in lanes (see
+    ``abelian_coefficient_bruteforce``).  d is n // 2, lowered while
+    n_states * k^d exceeds k^(n-d), but never below 1 once n >= 1, so
+    the tables hold n_states * k^d <= max(n_states * k, k^(n-d))
+    entries.  A negative level, or one of more than
+    ``DEFAULT_WORD_CAP`` words, is refused before any work.
     """
     k = g.k
     _check_index(n, "level")
@@ -121,15 +128,32 @@ def abelian_coefficient_bruteforce(
     of the given labels, or by default each state's shift mod k.
 
     Each word's label is read from the suffix table of the state
-    reached at its prefix (see ``_depth``).  The prefixes are walked
-    lazily and the tables hold the chosen label component, so the
-    labels of all level-n words are summed in word order with no list
-    of words and no per-state total.
+    reached at its prefix (see ``_depth``).  A table is one integer:
+    the chosen component's k^d labels below its state, in word order,
+    label i in the lane of w = bit_length(k^n * (m - 1)) + 1 bits at
+    bit i * w.  The depth-j table of s is the depth-(j - 1) tables of
+    its k successors side by side, joined with ``|``, so building it
+    adds no two labels.  The prefixes are walked lazily, and one
+    big-integer addition per prefix adds its table lane by lane.
+
+    Lane i then holds L_i, the sum of the labels of the k^(n-d) words
+    ending in suffix i, at most k^(n-d) * (m - 1) < 2^w, so no lane
+    carries into the next and the total is the sum of L_i * 2^(i*w).
+    As 2^w = 1 mod 2^w - 1, the total mod 2^w - 1 is the sum of the
+    L_i mod 2^w - 1; that sum, of all k^n labels, is at most
+    k^n * (m - 1) < 2^(w-1) < 2^w - 1 (m >= 2 makes w >= 2), so the
+    fold gives it exactly.  Every label of every level-n word is added
+    once, with no list of words and no per-state total.
     """
     m, residues = _label_vector(g.automaton, labels, component)
-    d, delta = _depth(g, n), g.automaton.delta
-    rows = [tuple(map(residues.__getitem__, _below(delta, s, d))) for s in range(len(delta))]
-    return sum(chain.from_iterable(map(rows.__getitem__, _below(delta, g.initial, n - d)))) % m
+    k, d, delta = g.k, _depth(g, n), g.automaton.delta
+    width = (k**n * (m - 1)).bit_length() + 1
+    tables = residues
+    for j in range(d):
+        step = k**j * width
+        tables = [reduce(or_, [tables[t] << a * step for a, t in enumerate(row)]) for row in delta]
+    total = sum(map(tables.__getitem__, _below(delta, g.initial, n - d)))
+    return total % ((1 << width) - 1) % m
 
 
 def conjugate_by(h: InitialAutomaton, g: InitialAutomaton) -> InitialAutomaton:

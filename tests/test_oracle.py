@@ -204,8 +204,27 @@ def test_bruteforce_is_the_label_sum_over_every_word(rng):
                 assert abelian_coefficient_bruteforce(g, n, labels, component) == expected % m
 
 
+# the deepest level the word cap allows at each alphabet size
+CAP_LEVEL = {2: 19, 3: 12, 6: 7}
+
+
+@pytest.mark.parametrize("k", sorted(CAP_LEVEL))
+def test_widest_lanes_neither_carry_nor_overflow_the_fold(k, rng):
+    # every label is m - 1, so each lane and the folded total are as large
+    # as they can be; a lane one bit narrower breaks the fold at level 0
+    g = corpus.random_invertible(rng, k, max_states=4)
+    for m in (2, 6, 2**64 + 13):
+        labels = AbelianLabels((m,), ((m - 1,),) * g.automaton.n_states)
+        for n in (0, CAP_LEVEL[k]):
+            assert abelian_coefficient_bruteforce(g, n, labels) == -(k**n) % m
+        with pytest.raises(LevelTooLargeError):
+            abelian_coefficient_bruteforce(g, CAP_LEVEL[k] + 1, labels)
+
+
 def test_level_sum_holds_less_than_a_pointer_per_word(rng):
-    # 6^7 = 279,936 words; a list of their states alone is 8 bytes a word
+    # 6^7 = 279,936 words; a list of their states alone is 8 bytes a word,
+    # while six suffix tables of 6^3 lanes of 22 bits hold 3,564 bytes, and
+    # the tables of every depth and the running sum stay under three times that
     g = corpus.random_cyclic(rng, 6, max_states=6, min_states=6)
     tracemalloc.start()
     try:
@@ -214,7 +233,8 @@ def test_level_sum_holds_less_than_a_pointer_per_word(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6**7 * 4
+    lanes = 6 * 6**3 * ((6**7 * 5).bit_length() + 1) // 8
+    assert peak < 3 * lanes
     assert got == series_stream(g).term(7)
 
 
