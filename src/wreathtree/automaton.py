@@ -15,7 +15,7 @@ analysis modules consume.
 """
 
 import re
-from itertools import count
+from itertools import count, starmap
 from operator import attrgetter, itemgetter
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -43,7 +43,7 @@ class UnknownStateError(ParseError):
 
     def __init__(self, name: str, line: int | None = None):
         self.name = name
-        super().__init__(f"unknown state '{name}'", line)
+        super().__init__(f"unknown state {name!r}", line)
 
 
 class BadPermutationError(AutomatonError):
@@ -681,19 +681,21 @@ def parse_automaton(text: str) -> AutomatonFile:
     States may refer to states declared later.  When an ``abelian``
     directive is present, every state needs a ``label`` line.  Lines end
     at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at the other breaks of
-    ``str.splitlines``, so a form feed in a comment ends no line.
+    ``str.splitlines``, so a form feed in a comment ends no line.  One
+    leading byte-order mark (U+FEFF) is dropped.
 
     Each line is checked as it is read, by the rule its record's
     constructor uses, and the output rows once at the end, by the rule
     of ``MealyAutomaton``; the records are then built unchecked.
     """
     k = None
-    state_rows = []
-    seen = {}
+    seen = {}  # state name -> index, in declaration order
+    out = []
+    targets = []  # (successor names, line) of each state
     initial_ref = None
     moduli = None
-    label_rows = {}
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    label_rows = {}  # state name -> (residues, line)
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
@@ -719,24 +721,24 @@ def parse_automaton(text: str) -> AutomatonFile:
             name = toks[1]
             _at(lineno, _check_names, (name,))
             if name in seen:
-                raise ParseError(f"duplicate state '{name}'", lineno)
-            seen[name] = len(state_rows)
-            row = tuple(_int_token(t, lineno) for t in toks[3 : 3 + k])
-            targets = tuple(toks[4 + k : 4 + 2 * k])
-            state_rows.append((name, row, targets, lineno))
+                raise ParseError(f"duplicate state {name!r}", lineno)
+            seen[name] = len(out)
+            out.append(tuple(_int_token(t, lineno) for t in toks[3 : 3 + k]))
+            targets.append((toks[4 + k :], lineno))
         elif head == "initial":
             if len(toks) != 2:
                 raise ParseError("expected: initial <state>", lineno)
             if initial_ref is not None:
                 raise ParseError("duplicate initial directive", lineno)
-            initial_ref = (toks[1], lineno)
+            initial_ref = (toks[1:], lineno)
         elif head == "abelian":
             if moduli is not None:
                 raise ParseError("duplicate abelian directive", lineno)
             if len(toks) < 2:
                 raise ParseError("expected: abelian <m1> ...", lineno)
-            moduli = [_int_token(t, lineno) for t in toks[1:]]
-            moduli = _at(lineno, AbelianLabels, moduli, ()).moduli
+            moduli = _at(
+                lineno, AbelianLabels, [_int_token(t, lineno) for t in toks[1:]], ()
+            ).moduli
         elif head == "label":
             if moduli is None:
                 raise ParseError("abelian directive must come before labels", lineno)
@@ -746,44 +748,37 @@ def parse_automaton(text: str) -> AutomatonFile:
                 )
             name = toks[1]
             if name in label_rows:
-                raise ParseError(f"duplicate label for state '{name}'", lineno)
+                raise ParseError(f"duplicate label for state {name!r}", lineno)
             row = tuple(_int_token(t, lineno) for t in toks[2:])
             _at(lineno, AbelianLabels, moduli, (row,))
             label_rows[name] = (row, lineno)
         else:
-            raise ParseError(f"unknown directive '{head}'", lineno)
+            raise ParseError(f"unknown directive {head!r}", lineno)
     if k is None:
         raise MissingAlphabetError("no alphabet declared")
-    if not state_rows:
+    if not seen:
         raise ParseError("no states declared")
-    delta = []
-    for name, row, targets, lineno in state_rows:
-        drow = []
-        for t in targets:
-            if t not in seen:
-                raise UnknownStateError(t, lineno)
-            drow.append(seen[t])
-        delta.append(tuple(drow))
-    names = tuple(name for name, _, _, _ in state_rows)
-    out = tuple(row for _, row, _, _ in state_rows)
+
+    get = seen.__getitem__
+
+    def resolve(refs, lineno):  # the one lookup of state names, each read on line lineno
+        try:
+            return tuple(map(get, refs))
+        except KeyError as exc:
+            raise UnknownStateError(exc.args[0], lineno) from None
+
+    names = tuple(seen)
+    delta = tuple(starmap(resolve, targets))
     _check_permutations(k, names, out)  # the lines above checked every other rule
-    automaton = MealyAutomaton._of(k, names, tuple(delta), out)
-    initial = None
-    if initial_ref is not None:
-        name, lineno = initial_ref
-        if name not in seen:
-            raise UnknownStateError(name, lineno)
-        initial = seen[name]
+    automaton = MealyAutomaton._of(k, names, delta, tuple(out))
+    initial = None if initial_ref is None else resolve(*initial_ref)[0]
     labels = None
     if moduli is not None:
-        for name, (_, lineno) in label_rows.items():
-            if name not in seen:
-                raise UnknownStateError(name, lineno)
-        rows = []
-        for name in automaton.names:
-            if name not in label_rows:
-                raise ParseError(f"missing label for state '{name}'")
-            rows.append(label_rows[name][0])
+        rows = [None] * len(names)
+        for name, (row, lineno) in label_rows.items():
+            rows[resolve((name,), lineno)[0]] = row
+        if None in rows:
+            raise ParseError(f"missing label for state {names[rows.index(None)]!r}")
         labels = AbelianLabels._of(moduli, tuple(rows))
     return AutomatonFile._of(automaton, initial, labels)
 

@@ -192,6 +192,137 @@ def test_parse_rejects_malformed_text(text):
         parse_automaton(text)
 
 
+_A = "alphabet 2\n"
+_S = "state a perm 0 1 to a a\n"
+_AB = "state a perm 0 1 to a a\nstate b perm 1 0 to a b\n"
+_ROW = "output row (0, 0) of state 'a' is not a permutation of the alphabet"
+
+# every refusal of parse_automaton: text -> class, message, line (None when no line is named)
+REFUSALS = {
+    "duplicate-alphabet": (_A + _A + _S, ParseError, "line 2: duplicate alphabet directive", 2),
+    "alphabet-usage": ("alphabet 2 3\n", ParseError, "line 1: expected: alphabet <k>", 1),
+    "alphabet-integer": ("alphabet two\n", ParseError, "line 1: expected an integer, got 'two'", 1),
+    "alphabet-size": ("alphabet 1\n", ParseError, "line 1: alphabet size must be at least 2, got 1", 1),
+    "state-before-alphabet": (
+        _S, MissingAlphabetError, "line 1: alphabet must be declared before states", 1
+    ),
+    "state-usage": (
+        _A + "state a perm 0 1 xx a a\n",
+        ParseError,
+        "line 2: expected: state <name> perm <2 symbols> to <2 states>",
+        2,
+    ),
+    "state-name": (_A + "state a-b perm 0 1 to a a\n", ParseError, "line 2: bad state name 'a-b'", 2),
+    "duplicate-state": (_A + _S + _S, ParseError, "line 3: duplicate state 'a'", 3),
+    "state-integer": (
+        _A + "state a perm 0 x to a a\n", ParseError, "line 2: expected an integer, got 'x'", 2
+    ),
+    "initial-usage": (_A + _S + "initial a a\n", ParseError, "line 3: expected: initial <state>", 3),
+    "duplicate-initial": (
+        _A + _S + "initial a\ninitial a\n", ParseError, "line 4: duplicate initial directive", 4
+    ),
+    "abelian-usage": (_A + _S + "abelian\n", ParseError, "line 3: expected: abelian <m1> ...", 3),
+    "duplicate-abelian": (
+        _A + _S + "abelian 2\nabelian 2\n", ParseError, "line 4: duplicate abelian directive", 4
+    ),
+    "modulus": (_A + _S + "abelian 1\n", ParseError, "line 3: modulus 1 must be at least 2", 3),
+    "label-before-abelian": (
+        _A + _S + "label a 0\nabelian 2\n",
+        ParseError,
+        "line 3: abelian directive must come before labels",
+        3,
+    ),
+    "label-usage": (
+        _A + _S + "abelian 2\nlabel a 0 0\n",
+        ParseError,
+        "line 4: expected: label <state> <1 residues>",
+        4,
+    ),
+    "duplicate-label": (
+        _A + _S + "abelian 2\nlabel a 0\nlabel a 1\n",
+        ParseError,
+        "line 5: duplicate label for state 'a'",
+        5,
+    ),
+    "label-range": (
+        _A + _S + "abelian 2\nlabel a 5\n",
+        ParseError,
+        "line 4: label component 5 is out of range mod 2",
+        4,
+    ),
+    "unknown-directive": (_A + _S + "bogus 1\n", ParseError, "line 3: unknown directive 'bogus'", 3),
+    "no-alphabet": ("# nothing here\n", MissingAlphabetError, "no alphabet declared", None),
+    "no-states": (_A, ParseError, "no states declared", None),
+    "unknown-target": (
+        _A + "state a perm 0 1 to a zz\n", UnknownStateError, "line 2: unknown state 'zz'", 2
+    ),
+    "output-row": (_A + "state a perm 0 0 to a a\n", BadPermutationError, _ROW, None),
+    "unknown-initial": (_A + _S + "initial zz\n", UnknownStateError, "line 3: unknown state 'zz'", 3),
+    "unknown-label-state": (
+        _A + _S + "abelian 2\nlabel a 0\nlabel zz 1\n",
+        UnknownStateError,
+        "line 5: unknown state 'zz'",
+        5,
+    ),
+    "missing-label": (
+        _A + _AB + "abelian 2\nlabel a 0\n", ParseError, "missing label for state 'b'", None
+    ),
+    # two faults: the first in the order targets, output rows, initial, label names, missing labels
+    "target-before-row": (
+        _A + "state a perm 0 0 to a zz\ninitial zz\n",
+        UnknownStateError,
+        "line 2: unknown state 'zz'",
+        2,
+    ),
+    "row-before-initial": (
+        _A + "state a perm 0 0 to a a\ninitial zz\n", BadPermutationError, _ROW, None
+    ),
+    "initial-before-label-state": (
+        _A + _S + "initial zz\nabelian 2\nlabel zz 0\n",
+        UnknownStateError,
+        "line 3: unknown state 'zz'",
+        3,
+    ),
+    "label-state-before-missing-label": (
+        _A + _AB + "abelian 2\nlabel zz 0\n", UnknownStateError, "line 5: unknown state 'zz'", 5
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS.keys())
+def test_parse_names_every_refusal(case):
+    text, error, message, line = case
+    with pytest.raises(AutomatonError) as err:
+        parse_automaton(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    text = "alphabet 2\nstate a perm 1 0 to a a\ninitial a\n"
+    assert parse_automaton("\ufeff" + text) == parse_automaton(text)
+    with pytest.raises(ParseError) as err:
+        parse_automaton("\ufeff\ufeff" + text)
+    assert str(err.value) == "line 1: unknown directive '\\ufeffalphabet'"
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text + "\ufeffinitial a\n")
+    assert str(err.value) == "line 4: unknown directive '\\ufeffinitial'"
+
+
+def test_parse_messages_show_invisible_characters():
+    # U+200B is no whitespace, so it stays in the token; the message shows it escaped
+    base = "alphabet 2\nstate a perm 1 0 to a a\n"
+    for tail, message in (
+        ("initial a\u200b\n", "line 3: unknown state 'a\\u200b'"),
+        ("\u200binitial a\n", "line 3: unknown directive '\\u200binitial'"),
+        ("state a\u200b perm 1 0 to a a\n", "line 3: bad state name 'a\\u200b'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(base + tail)
+        assert str(err.value) == message
+
+
 LABELLED_TEXT = "alphabet 2\nstate a perm 1 0 to a a\ninitial a\nabelian 2\nlabel a 1\n"
 
 

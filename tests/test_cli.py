@@ -508,6 +508,29 @@ def test_non_utf8_file_exits_with_2(capsys, tmp_path):
     assert err.startswith("error: ParseError: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "transitive"])
+def test_a_byte_order_mark_changes_only_the_digest(capsys, tmp_path, command):
+    path = tmp_path / "odometer.aut"
+    plain = Path(ODOMETER).read_bytes()
+    docs = []
+    for data in (plain, b"\xef\xbb\xbf" + plain):
+        path.write_bytes(data)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 0 and err == ""
+        doc = doc_of(out)
+        assert doc.pop("input.sha256") == hashlib.sha256(data).hexdigest()
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_non_utf8_offset_counts_the_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "marked.aut"
+    path.write_bytes(b"\xef\xbb\xbfalphabet 2\n\xff")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: ParseError: not UTF-8 text: byte 14 is 0xff\n"
+
+
 def test_commands_that_need_an_initial_state_exit_with_2(capsys, tmp_path):
     path = tmp_path / "bare.aut"
     path.write_text("alphabet 2\nstate e perm 0 1 to e e\n")
