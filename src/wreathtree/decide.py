@@ -204,14 +204,14 @@ def rational_form(
     incidence matrix A and the labels v, so by Cramer's rule it is N/D
     with D = det(I - At) and N the same determinant with column
     ``init`` replaced by v.  D is the characteristic polynomial of A
-    read backwards, computed mod m by the division-free
-    Samuelson-Berkowitz recursion (``char_poly_mod``).  Column ``init``
-    of N's matrix is constant and the others have degree at most 1, so
-    N has degree at most n - 1; and N = D S exactly over Z.  Hence
-    N = D S mod t^n, built from the first n stream terms, and reducing
-    mod m commutes with both steps: the pair is the two Z[t]
-    determinants reduced mod m, with no big integers on the way.  The
-    pair is returned as it is, not reduced.
+    read backwards, computed over Z from the traces of the powers of A
+    by Newton's identities and reduced mod m (``char_poly_mod``).
+    Column ``init`` of N's matrix is constant and the others have
+    degree at most 1, so N has degree at most n - 1; and N = D S
+    exactly over Z.  Hence N = D S mod t^n, built mod m from the first
+    n stream terms, and reducing mod m commutes with both steps: the
+    pair is the two Z[t] determinants reduced mod m.  The pair is
+    returned as it is, not reduced.
     """
     m, terms = series_terms(g, labels, component)
     delta = g.automaton.delta

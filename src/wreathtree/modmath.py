@@ -3,9 +3,10 @@
 Everything here is integer arithmetic: residue vectors mod m, the
 state-transition incidence matrix of an automaton, eventually periodic
 coefficient streams found by remembering every visited vector, and
-the characteristic polynomial of the incidence matrix mod m, by a
-recursion that never divides.  No floating point and no big integers
-appear anywhere.
+the characteristic polynomial of the incidence matrix.  No floating
+point appears anywhere.  Only ``char_poly_mod`` works over Z: the
+entries of the powers A^j it needs are below n k^n, and it packs each
+row of them into lanes of one integer.
 
 One kernel computes w -> A w mod m for the incidence matrix A, and it
 never builds A: row q of A counts the successors of state q, so
@@ -28,7 +29,7 @@ the d iterates before it.
 
 from itertools import chain, cycle, islice
 from math import gcd
-from operator import itemgetter, mul
+from operator import and_, itemgetter, mul
 
 from .automaton import (
     AbelianLabels,
@@ -163,34 +164,42 @@ def char_poly_mod(delta, m: int) -> list[int]:
     """det(I - A t) mod m, ascending, for the incidence matrix A of ``delta``.
 
     Read highest degree first, the same list is det(x I - A), the
-    characteristic polynomial.  It is built by the Samuelson-Berkowitz
-    recursion over the trailing principal blocks B_i = A[i:, i:], for
-    i = n - 1 down to 0.  B_i splits into the corner a = A[i][i], the
-    row R and the column C beside it, and B_{i+1}; then the coefficients
-    of det(x I - B_i), highest degree first, are T_i times those of
-    B_{i+1}, where T_i is lower-triangular Toeplitz with first column
-    (1, -a, -R C, -R B_{i+1} C, ..., -R B_{i+1}^(n-i-2) C).
-    The products B_{i+1}^j C are read off the transition table, so a
-    block costs O(k (n - i)^2) and the whole recursion O(k n^3).  It
-    only adds and multiplies, so it is exact over Z/m for every m.
+    characteristic polynomial.  Its coefficients c_0 = 1, c_1, ..., c_n
+    come from the power sums s_j = tr(A^j) by Newton's identities,
+    j c_j = -(c_{j-1} s_1 + c_{j-2} s_2 + ... + c_0 s_j), all over Z.
+    The division by j is exact: the c_j are integers, because A is.
+
+    Row q of A^(j+1) is the sum of the rows of A^j at q's successors,
+    the same gather as the stream kernel's.  A has row sums k, so every
+    entry of A^j for j <= n is at most k^n and every trace at most
+    n k^n; each row is one integer holding its n entries in lanes of
+    w = bit_length(n k^n) + 1 bits, which never carry into each other.
+    The trace is one AND per row with its diagonal lane, which leaves
+    the diagonal entry d_q in lane q, and one multiply by the integer
+    with a 1 in each of the lanes 0..n-1: its lane n-1 is
+    d_0 + ... + d_{n-1}, and no lower lane carries into it.
+
+    Cost: n powers, each n sums of k integers of n w bits, so
+    O(k n^2) additions of integers of about n^2 log2(k) bits.  Memory
+    peaks near 2.5 n^2 w bits: two powers of n^2 w bits while one is
+    built from the other, and the masks, (q + 1) w bits for lane q.
+    The c_j are reduced mod m only at the end, so the result is exact
+    for every m.
     """
     _check_residues(m)
-    n = len(delta)
+    n, k = len(delta), len(delta[0])
+    w = (n * k**n).bit_length() + 1
+    lane = (1 << w) - 1
+    power = [1 << q * w for q in range(n)]
+    diag = [lane << q * w for q in range(n)]
+    ones, top = sum(power), (n - 1) * w
     rows = _rows(delta)
-    p = [1]
-    for i in range(n - 1, -1, -1):
-        # C as a length-n vector that is zero at states <= i, so a sum over
-        # all successors of a state is a sum over those beyond i only
-        zeros, tail = [0] * (i + 1), rows[i + 1:]
-        v = zeros + [row.count(i) for row in delta[i + 1:]]
-        col = [1, -delta[i].count(i) % m]
-        for j in range(n - i - 1):
-            if j:
-                v = zeros + [sum(row(v)) % m for row in tail]
-            col.append(-sum(rows[i](v)) % m)
-        # T_i p: coefficient r is the sum of col[r - j] * p[j]
-        p = [sum(map(mul, col[r::-1], p)) % m for r in range(len(p) + 1)]
-    return p
+    c, s = [1], [0]
+    for j in range(1, n + 1):
+        power = [sum(row(power)) for row in rows]
+        s.append(sum(map(and_, power, diag)) * ones >> top & lane)
+        c.append(-sum(map(mul, c, s[j:0:-1])) // j)
+    return [x % m for x in c]
 
 
 def series_expand(series, count: int) -> list[int]:

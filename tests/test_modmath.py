@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -219,13 +220,26 @@ def test_char_poly_examples(odometer, lamp_b):
         assert str(err.value) == message
 
 
+def test_char_poly_lane_bound():
+    # every symbol loops, so A = k I and det(I - A t) = (1 - k t)^n: the
+    # widest lanes, since tr(A^n) = n k^n
+    for k in (2, 3, 9):
+        for n in (1, 2, 5, 17, 40):
+            delta = tuple((q,) * k for q in range(n))
+            for m in (2, 6, 2**64 + 13):
+                want = [math.comb(n, j) * (-k) ** j % m for j in range(n + 1)]
+                assert char_poly_mod(delta, m) == want, (k, n, m)
+
+
 def test_char_poly_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for _ in range(150):
-        n = rng.randint(1, 7)
-        k = rng.randint(2, 6)
-        m = rng.randint(2, 30)
+    # many small tables with small moduli, then a few large ones past 2^64
+    draws = [((1, 7), (2, 6), (2, 30))] * 150 + [((8, 40), (2, 9), (2**64 + 1, 2**70))] * 4
+    for n_range, k_range, m_range in draws:
+        n = rng.randint(*n_range)
+        k = rng.randint(*k_range)
+        m = rng.randint(*m_range)
         delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
         counts = sympy.Matrix(n, n, lambda r, s: delta[r].count(s))
         # det(x I - A) highest degree first is det(I - A t) lowest first
