@@ -97,12 +97,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_size(value, role: str) -> None:
+    """Raise AutomatonError unless value, an alphabet size or a modulus, is an integer >= 2."""
+    if not _is_int(value):
+        raise _not_integer(role, value)
+    if value < 2:
+        raise AutomatonError(f"{role} {value} must be at least 2")
+
+
 def _check_residues(m: int, role: str = "", values=()) -> None:
     """Raise AutomatonError unless m is an integer >= 2 and every value one in 0 .. m-1."""
-    if not _is_int(m):
-        raise _not_integer("modulus", m)
-    if m < 2:
-        raise AutomatonError(f"modulus {m} must be at least 2")
+    _check_size(m, "modulus")
     for v in values:
         if not (_is_int(v) and 0 <= v < m):
             fault = f"out of range mod {m}" if _is_int(v) else "not an integer"
@@ -120,14 +125,6 @@ def _check_index(value, role: str, bound: int | None = None, error=NegativeIndex
     if value < 0 or bound is not None and value >= bound:
         raise error(f"{role} {value} is {'negative' if bound is None else 'out of range'}")
     return value
-
-
-def _check_alphabet_size(k: int) -> None:
-    """Raise AutomatonError unless k is an integer at least 2."""
-    if not _is_int(k):
-        raise _not_integer("alphabet size", k)
-    if k < 2:
-        raise AutomatonError(f"alphabet size must be at least 2, got {k}")
 
 
 def _check_names(names) -> None:
@@ -240,7 +237,7 @@ class MealyAutomaton(_Record):
 
     def _check(self):
         k, names, delta, out = self.k, self.names, self.delta, self.out
-        _check_alphabet_size(k)
+        _check_size(k, "alphabet size")
         n = len(names)
         if n == 0:
             raise AutomatonError("an automaton needs at least one state")
@@ -344,30 +341,22 @@ def _read_int(text: str) -> int | None:
 def parse_word(text: str, k: int) -> tuple[int, ...]:
     """Read a word over {0, ..., k-1} from its text form.
 
-    For k <= 10 a word is a string of ASCII digits; larger alphabets use
-    comma-separated integers in ASCII digits.  The empty string is the
-    empty word.
+    For k <= 10 each character is one symbol, an ASCII digit; larger
+    alphabets use comma-separated integers in ASCII digits.  The empty
+    string, and for k > 10 a blank one, is the empty word.  A token that
+    is not a symbol in 0 .. k-1, a signed one included, raises
+    BadSymbolError with the token as typed.
     """
-    _check_alphabet_size(k)
+    _check_size(k, "alphabet size")
     if k <= 10:
-        digits = "0123456789"[:k]
-        symbols = []
-        for i, ch in enumerate(text):
-            s = digits.find(ch)
-            if s < 0:
-                raise BadSymbolError(i, ch)
-            symbols.append(s)
-        return tuple(symbols)
-    if not text.strip():
-        return ()
+        tokens = text
+    else:
+        tokens = [tok.strip() for tok in text.split(",")] if text.strip() else ()
     symbols = []
-    for i, tok in enumerate(text.split(",")):
-        tok = tok.strip()
+    for i, tok in enumerate(tokens):
         s = _read_int(tok)
-        if s is None or tok.startswith("-"):
+        if s is None or s >= k or tok[0] == "-":  # "-0" too: a symbol has no sign
             raise BadSymbolError(i, tok)
-        if s >= k:
-            raise BadSymbolError(i, s)
         symbols.append(s)
     return tuple(symbols)
 
@@ -707,7 +696,7 @@ def parse_automaton(text: str) -> AutomatonFile:
             if len(toks) != 2:
                 raise ParseError("expected: alphabet <k>", lineno)
             k = _int_token(toks[1], lineno)
-            _at(lineno, _check_alphabet_size, k)
+            _at(lineno, _check_size, k, "alphabet size")
         elif head == "state":
             if k is None:
                 raise MissingAlphabetError(

@@ -30,6 +30,7 @@ from .automaton import (
     _check_residues,
     _is_int,
     _moduli,
+    _not_integer,
     _Record,
 )
 from .modmath import EventuallyPeriodicStream, char_poly_mod, series_stream, series_terms
@@ -166,7 +167,7 @@ def _strip_mod(coeffs, m: int) -> tuple[int, ...]:
     reduced = []
     for c in coeffs:
         if not _is_int(c):
-            raise AutomatonError(f"coefficient {c!r} is not an integer")
+            raise _not_integer("coefficient", c)
         reduced.append(c % m)
     while reduced and reduced[-1] == 0:
         reduced.pop()

@@ -317,6 +317,14 @@ def test_output_flag_writes_a_file(capsys, tmp_path):
     assert parsed.initial_automaton().apply("00") == "10"
 
 
+def test_an_unwritable_output_file_exits_with_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "minimize", ODOMETER, "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ")
+
+
 def test_dot_prints_the_diagram(capsys):
     code, out, _ = run(capsys, "dot", ODOMETER)
     assert code == 0
@@ -545,6 +553,43 @@ def test_non_cyclic_analysis_exits_with_2(capsys, tmp_path):
     code, _, err = run(capsys, "coeffs", str(path), "--count", "3")
     assert code == 2
     assert "NotCyclicError" in err
+
+
+def _labelled_copy(tmp_path, fixture):
+    """The fixture with a label block of 3 mod 4 on every state appended."""
+    names = parse_automaton(Path(fixture).read_text()).automaton.names
+    block = "abelian 4\n" + "".join(f"label {name} 3\n" for name in names)
+    path = tmp_path / Path(fixture).name
+    path.write_text(Path(fixture).read_text() + block)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fixture", [ODOMETER, LAMP_A, LAMP_B], ids=["odometer", "lamplighter", "lamplighter_b"]
+)
+def test_transitive_and_conjugate_ignore_a_label_block(capsys, tmp_path, fixture):
+    # both always read the shifts mod k, so labels change only the digest
+    labelled = _labelled_copy(tmp_path, fixture)
+    for argv in (["transitive", "{}"], ["conjugate", "{}", LAMP_B], ["conjugate", ODOMETER, "{}"]):
+        docs = []
+        for path in (fixture, labelled):
+            code, out, err = run(capsys, *[arg.format(path) for arg in argv])
+            assert code == 0 and err == ""
+            docs.append({k: v for k, v in doc_of(out).items() if not k.startswith("input")})
+        assert docs[0] == docs[1]
+
+
+def test_labels_lift_the_cyclic_rule_only_where_they_are_read(capsys, tmp_path):
+    path = tmp_path / "swap.aut"
+    path.write_text(
+        "alphabet 3\nstate s perm 0 2 1 to s s s\ninitial s\nabelian 5\nlabel s 2\n"
+    )
+    code, out, err = run(capsys, "coeffs", str(path), "--count", "3")
+    assert code == 0 and err == ""
+    assert doc_of(out)["terms"] == "[2, 1, 3]"
+    code, out, err = run(capsys, "transitive", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: NotCyclicError: ")
 
 
 def test_equal_ab_compares_moduli_before_judging_rows(capsys, tmp_path):

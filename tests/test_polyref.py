@@ -3,7 +3,7 @@
 import pytest
 
 from polyref import IntPolynomial, det_poly
-from wreathtree.modmath import DimensionMismatchError
+from wreathtree.automaton import DimensionMismatchError
 
 
 # ---------- integer polynomials ----------
