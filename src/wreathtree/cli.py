@@ -64,8 +64,8 @@ def _count(text: str) -> int:
     value = _read_int(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    if text[0] == "-":  # "-0" too: a count has no sign
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
     return value
 
 

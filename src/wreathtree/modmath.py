@@ -4,9 +4,9 @@ Everything here is integer arithmetic: residue vectors mod m, the
 state-transition incidence matrix of an automaton, eventually periodic
 coefficient streams found by remembering every visited vector, and
 the characteristic polynomial of the incidence matrix.  No floating
-point appears anywhere.  Only ``char_poly_mod`` works over Z: the
-entries of the powers A^j it needs are below n k^n, and it packs each
-row of them into lanes of one integer.
+point appears anywhere.  Only ``char_poly_mod`` works over Z: it packs
+each row of the powers A^j, entries below n k^n, into w-bit lanes of
+one integer, and reads each trace as its diagonal lanes mod 2^w - 1.
 
 One kernel computes w -> A w mod m for the incidence matrix A, and it
 never builds A: row q of A counts the successors of state q, so
@@ -175,14 +175,14 @@ def char_poly_mod(delta, m: int) -> list[int]:
     n k^n; each row is one integer holding its n entries in lanes of
     w = bit_length(n k^n) + 1 bits, which never carry into each other.
     The trace is one AND per row with its diagonal lane, which leaves
-    the diagonal entry d_q in lane q, and one multiply by the integer
-    with a 1 in each of the lanes 0..n-1: its lane n-1 is
-    d_0 + ... + d_{n-1}, and no lower lane carries into it.
+    the diagonal entry d_q in lane q, and their sum mod 2^w - 1: as
+    2^w = 1 mod 2^w - 1, that is d_0 + ... + d_{n-1} mod 2^w - 1, and
+    this sum is at most n k^n < 2^(w-1) < 2^w - 1, so it is exact.
 
     Cost: n powers, each n sums of k integers of n w bits, so
-    O(k n^2) additions of integers of about n^2 log2(k) bits.  Memory
-    peaks near 2.5 n^2 w bits: two powers of n^2 w bits while one is
-    built from the other, and the masks, (q + 1) w bits for lane q.
+    O(k n^2) additions of n w-bit integers.  Memory peaks near
+    2.5 n^2 w bits: two powers of n^2 w bits while one is built from
+    the other, and the masks, (q + 1) w bits for lane q.
     The c_j are reduced mod m only at the end, so the result is exact
     for every m.
     """
@@ -192,12 +192,11 @@ def char_poly_mod(delta, m: int) -> list[int]:
     lane = (1 << w) - 1
     power = [1 << q * w for q in range(n)]
     diag = [lane << q * w for q in range(n)]
-    ones, top = sum(power), (n - 1) * w
     rows = _rows(delta)
     c, s = [1], [0]
     for j in range(1, n + 1):
         power = [sum(row(power)) for row in rows]
-        s.append(sum(map(and_, power, diag)) * ones >> top & lane)
+        s.append(sum(map(and_, power, diag)) % lane)
         c.append(-sum(map(mul, c, s[j:0:-1])) // j)
     return [x % m for x in c]
 

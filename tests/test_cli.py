@@ -373,22 +373,26 @@ def test_usage_errors_exit_with_1(capsys):
 
 
 def test_negative_count_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "coeffs", ODOMETER, "--count", "-3")
-    assert code == 1
-    assert out == "" and "--count" in err
+    # a signed zero too: a count has no sign
+    for value in ("-3", "-0"):
+        code, out, err = run(capsys, "coeffs", ODOMETER, "--count", value)
+        assert code == 1, value
+        assert out == "" and f"--count: must not be negative, got {value}" in err
 
 
 def test_negative_component_is_a_usage_error(capsys):
     for command in (["coeffs", ODOMETER, "--count", "3"], ["rational", ODOMETER]):
-        code, out, err = run(capsys, *command, "--component", "-1")
-        assert code == 1, command
-        assert out == "" and "--component" in err
+        for value in ("-1", "-0"):
+            code, out, err = run(capsys, *command, "--component", value)
+            assert code == 1, (command, value)
+            assert out == "" and f"--component: must not be negative, got {value}" in err
 
 
 def test_negative_level_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "orbit", ODOMETER, "--level", "-1")
-    assert code == 1
-    assert out == "" and "--level" in err
+    for value in ("-1", "-0"):
+        code, out, err = run(capsys, "orbit", ODOMETER, "--level", value)
+        assert code == 1, value
+        assert out == "" and f"--level: must not be negative, got {value}" in err
 
 
 @pytest.mark.parametrize("value", ["\uff12", "\u0663", "+3", "1_0", " 4", "4 "])

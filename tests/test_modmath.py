@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -229,6 +231,32 @@ def test_char_poly_lane_bound():
             for m in (2, 6, 2**64 + 13):
                 want = [math.comb(n, j) * (-k) ** j % m for j in range(n + 1)]
                 assert char_poly_mod(delta, m) == want, (k, n, m)
+
+
+def test_char_poly_past_forty_states():
+    # both tables are upper triangular and only the sink has a loop, so
+    # det(I - A t) = 1 - k t
+    for g in (corpus.chain(3, 120), corpus.tail_flip(250)):
+        delta = g.automaton.delta
+        n, k = len(delta), len(delta[0])
+        for m in (2, 6, 2**64 + 13):
+            assert char_poly_mod(delta, m) == [1, -k % m] + [0] * (n - 1), (n, m)
+
+
+def test_char_poly_memory_grows_as_n_squared_lanes():
+    # two powers of n^2 w bits and the masks: about 2.5 n^2 w bits, read
+    # by tracemalloc as under 3.5 n^2 w with object headers
+    for n in (80, 120):
+        delta = corpus.random_cyclic(random.Random(n), 3, n, n).automaton.delta
+        w = (n * 3**n).bit_length() + 1
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            char_poly_mod(delta, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * peak <= 3.5 * n * n * w, (n, 8 * peak / (n * n * w))
 
 
 def test_char_poly_matches_sympy(rng):
