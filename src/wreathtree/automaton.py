@@ -640,19 +640,11 @@ class AutomatonFile(_Record):
         return InitialAutomaton._of(self.automaton, self.initial)
 
 
-def _int_token(tok: str, line: int) -> int:
+def _int_token(tok: str) -> int:
     value = _read_int(tok)
     if value is None:
-        raise ParseError(f"expected an integer, got {tok!r}", line)
+        raise AutomatonError(f"expected an integer, got {tok!r}")
     return value
-
-
-def _at(line: int, check, *args):
-    """check(*args), any AutomatonError it raises a ParseError at line."""
-    try:
-        return check(*args)
-    except AutomatonError as exc:
-        raise ParseError(str(exc), line) from None
 
 
 def parse_automaton(text: str) -> AutomatonFile:
@@ -674,8 +666,13 @@ def parse_automaton(text: str) -> AutomatonFile:
     leading byte-order mark (U+FEFF) is dropped.
 
     Each line is checked as it is read, by the rule its record's
-    constructor uses, and the output rows once at the end, by the rule
-    of ``MealyAutomaton``; the records are then built unchecked.
+    constructor uses, and one handler raises the fault of a line as a
+    ParseError at that line (a state before the alphabet is a
+    MissingAlphabetError).  ``alphabet``, ``initial`` and ``abelian``
+    may appear once each, and a second one is refused before its
+    arguments are read.  The output rows are checked once at the end,
+    by the rule of ``MealyAutomaton``; the records are then built
+    unchecked.
     """
     k = None
     seen = {}  # state name -> index, in declaration order
@@ -684,65 +681,59 @@ def parse_automaton(text: str) -> AutomatonFile:
     initial_ref = None
     moduli = None
     label_rows = {}  # state name -> (residues, line)
+    once = set()  # the directives read so far of those that may appear once
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
         head = toks[0]
-        if head == "alphabet":
-            if k is not None:
-                raise ParseError("duplicate alphabet directive", lineno)
-            if len(toks) != 2:
-                raise ParseError("expected: alphabet <k>", lineno)
-            k = _int_token(toks[1], lineno)
-            _at(lineno, _check_size, k, "alphabet size")
-        elif head == "state":
-            if k is None:
-                raise MissingAlphabetError(
-                    "alphabet must be declared before states", lineno
-                )
-            if len(toks) != 2 * k + 4 or toks[2] != "perm" or toks[3 + k] != "to":
-                raise ParseError(
-                    f"expected: state <name> perm <{k} symbols> to <{k} states>",
-                    lineno,
-                )
-            name = toks[1]
-            _at(lineno, _check_names, (name,))
-            if name in seen:
-                raise ParseError(f"duplicate state {name!r}", lineno)
-            seen[name] = len(out)
-            out.append(tuple(_int_token(t, lineno) for t in toks[3 : 3 + k]))
-            targets.append((toks[4 + k :], lineno))
-        elif head == "initial":
-            if len(toks) != 2:
-                raise ParseError("expected: initial <state>", lineno)
-            if initial_ref is not None:
-                raise ParseError("duplicate initial directive", lineno)
-            initial_ref = (toks[1:], lineno)
-        elif head == "abelian":
-            if moduli is not None:
-                raise ParseError("duplicate abelian directive", lineno)
-            if len(toks) < 2:
-                raise ParseError("expected: abelian <m1> ...", lineno)
-            moduli = _at(
-                lineno, AbelianLabels, [_int_token(t, lineno) for t in toks[1:]], ()
-            ).moduli
-        elif head == "label":
-            if moduli is None:
-                raise ParseError("abelian directive must come before labels", lineno)
-            if len(toks) != 2 + len(moduli):
-                raise ParseError(
-                    f"expected: label <state> <{len(moduli)} residues>", lineno
-                )
-            name = toks[1]
-            if name in label_rows:
-                raise ParseError(f"duplicate label for state {name!r}", lineno)
-            row = tuple(_int_token(t, lineno) for t in toks[2:])
-            _at(lineno, AbelianLabels, moduli, (row,))
-            label_rows[name] = (row, lineno)
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+        if head == "state" and k is None:
+            raise MissingAlphabetError("alphabet must be declared before states", lineno)
+        try:
+            if head in once:
+                raise AutomatonError(f"duplicate {head} directive")
+            if head in ("alphabet", "initial", "abelian"):
+                once.add(head)
+            if head == "alphabet":
+                if len(toks) != 2:
+                    raise AutomatonError("expected: alphabet <k>")
+                k = _int_token(toks[1])
+                _check_size(k, "alphabet size")
+            elif head == "state":
+                if len(toks) != 2 * k + 4 or toks[2] != "perm" or toks[3 + k] != "to":
+                    raise AutomatonError(
+                        f"expected: state <name> perm <{k} symbols> to <{k} states>"
+                    )
+                name = toks[1]
+                _check_names((name,))
+                if name in seen:
+                    raise AutomatonError(f"duplicate state {name!r}")
+                seen[name] = len(out)
+                out.append(tuple(map(_int_token, toks[3 : 3 + k])))
+                targets.append((toks[4 + k :], lineno))
+            elif head == "initial":
+                if len(toks) != 2:
+                    raise AutomatonError("expected: initial <state>")
+                initial_ref = (toks[1:], lineno)
+            elif head == "abelian":
+                if len(toks) < 2:
+                    raise AutomatonError("expected: abelian <m1> ...")
+                moduli = AbelianLabels(map(_int_token, toks[1:]), ()).moduli
+            elif head == "label":
+                if moduli is None:
+                    raise AutomatonError("abelian directive must come before labels")
+                if len(toks) != 2 + len(moduli):
+                    raise AutomatonError(f"expected: label <state> <{len(moduli)} residues>")
+                name = toks[1]
+                if name in label_rows:
+                    raise AutomatonError(f"duplicate label for state {name!r}")
+                (row,) = AbelianLabels(moduli, [map(_int_token, toks[2:])]).labels
+                label_rows[name] = (row, lineno)
+            else:
+                raise AutomatonError(f"unknown directive {head!r}")
+        except AutomatonError as exc:
+            raise ParseError(str(exc), lineno) from None
     if k is None:
         raise MissingAlphabetError("no alphabet declared")
     if not seen:

@@ -200,6 +200,10 @@ _ROW = "output row (0, 0) of state 'a' is not a permutation of the alphabet"
 # every refusal of parse_automaton: text -> class, message, line (None when no line is named)
 REFUSALS = {
     "duplicate-alphabet": (_A + _A + _S, ParseError, "line 2: duplicate alphabet directive", 2),
+    # a second alphabet, initial or abelian is a duplicate whatever its arguments
+    "duplicate-alphabet-usage": (
+        _A + "alphabet 2 3\n", ParseError, "line 2: duplicate alphabet directive", 2
+    ),
     "alphabet-usage": ("alphabet 2 3\n", ParseError, "line 1: expected: alphabet <k>", 1),
     "alphabet-integer": ("alphabet two\n", ParseError, "line 1: expected an integer, got 'two'", 1),
     "alphabet-size": ("alphabet 1\n", ParseError, "line 1: alphabet size 1 must be at least 2", 1),
@@ -221,9 +225,18 @@ REFUSALS = {
     "duplicate-initial": (
         _A + _S + "initial a\ninitial a\n", ParseError, "line 4: duplicate initial directive", 4
     ),
+    "duplicate-initial-usage": (
+        _A + _S + "initial a\ninitial a a\n", ParseError, "line 4: duplicate initial directive", 4
+    ),
     "abelian-usage": (_A + _S + "abelian\n", ParseError, "line 3: expected: abelian <m1> ...", 3),
     "duplicate-abelian": (
         _A + _S + "abelian 2\nabelian 2\n", ParseError, "line 4: duplicate abelian directive", 4
+    ),
+    "duplicate-abelian-usage": (
+        _A + _S + "abelian 2\nabelian\n", ParseError, "line 4: duplicate abelian directive", 4
+    ),
+    "abelian-integer": (
+        _A + _S + "abelian x\n", ParseError, "line 3: expected an integer, got 'x'", 3
     ),
     "modulus": (_A + _S + "abelian 1\n", ParseError, "line 3: modulus 1 must be at least 2", 3),
     "label-before-abelian": (
@@ -237,6 +250,9 @@ REFUSALS = {
         ParseError,
         "line 4: expected: label <state> <1 residues>",
         4,
+    ),
+    "label-integer": (
+        _A + _S + "abelian 2\nlabel a x\n", ParseError, "line 4: expected an integer, got 'x'", 4
     ),
     "duplicate-label": (
         _A + _S + "abelian 2\nlabel a 0\nlabel a 1\n",
