@@ -8,8 +8,8 @@ return a document, to which ``_run`` adds the ``command`` and
 it as ``key = value`` lines in sorted order, so output is byte-stable.
 compose, inverse, minimize and dot return text, written to stdout or
 to ``-o``.  The exit code says whether the analysis ran, never what the
-verdict was: 0 when done, 1 on usage errors, 2 on unreadable or
-invalid input.
+verdict was, and ``main`` alone sets it: 0 when done, 1 on usage
+errors, 2 on unreadable or invalid input.
 """
 
 import argparse
@@ -38,15 +38,6 @@ COUNT_CAP = 10**6
 
 class CountTooLargeError(AutomatonError):
     """coeffs was asked for more terms than ``COUNT_CAP``."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _load(path: str) -> tuple[AutomatonFile, bytes]:
@@ -241,8 +232,8 @@ def _run(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="wreathtree",
         description="Analyze tree automorphisms given by invertible Mealy automata.",
     )
@@ -261,8 +252,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code == 2 else exc.code
     try:
         return _run(args)
     except AutomatonError as exc:

@@ -365,11 +365,22 @@ def test_help_lists_every_command(capsys):
 # ------------------------------------------------------------ exit codes
 
 
-def test_usage_errors_exit_with_1(capsys):
+def test_usage_errors_exit_with_1(capsys, monkeypatch):
+    # argparse wraps the usage line at the terminal width; the top-level
+    # cases are not pinned, as their wording differs across Python versions
+    monkeypatch.setenv("COLUMNS", "80")
     for argv in ([], ["transitive"], ["coeffs", ODOMETER], ["frobnicate"]):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
-        assert err != ""
+        assert out == "" and err != "", argv
+    assert run(capsys, "transitive")[2] == (
+        "usage: wreathtree transitive [-h] file\n"
+        "wreathtree transitive: error: the following arguments are required: file\n"
+    )
+    assert run(capsys, "coeffs", ODOMETER)[2] == (
+        "usage: wreathtree coeffs [-h] --count COUNT [--component COMPONENT] file\n"
+        "wreathtree coeffs: error: the following arguments are required: --count\n"
+    )
 
 
 def test_negative_count_is_a_usage_error(capsys):
@@ -685,6 +696,26 @@ def test_cli_loads_dataclasses_and_decide_only_to_decide():
     assert after_import == "[]"
     assert after_coeffs == "[]"
     assert "'wreathtree.decide'" in after_transitive
+
+
+def test_cli_process_exit_statuses(tmp_path):
+    # the module run as a program: its exit status is what ``main`` returns
+    src = str(Path(wreathtree.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def status(*argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "wreathtree.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        return result.returncode, result.stdout
+
+    assert status("coeffs", ODOMETER)[0] == 1
+    assert status("transitive", str(tmp_path / "missing.aut"))[0] == 2
+    code, out = status("--help")
+    assert code == 0 and out.startswith("usage: wreathtree")
 
 
 def test_cli_hashes_inputs_only_for_documents():
