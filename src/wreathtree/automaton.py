@@ -105,7 +105,7 @@ def _check_size(value, role: str) -> None:
         raise AutomatonError(f"{role} {value} must be at least 2")
 
 
-def _check_residues(m: int, role: str = "", values=()) -> None:
+def _check_residues(m: int, role: str, values) -> None:
     """Raise AutomatonError unless m is an integer >= 2 and every value one in 0 .. m-1."""
     _check_size(m, "modulus")
     for v in values:

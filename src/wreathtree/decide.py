@@ -27,7 +27,7 @@ from .automaton import (
     AutomatonError,
     InitialAutomaton,
     _check_alphabets,
-    _check_residues,
+    _check_size,
     _is_int,
     _moduli,
     _not_integer,
@@ -67,25 +67,19 @@ class ConjugacyVerdict(_Record):
         super().__init__(status, reason)
 
 
-def _first_non_unit(stream: EventuallyPeriodicStream) -> int | None:
-    """Least index with gcd(term, modulus) > 1, scanning one full cycle."""
-    for j, c in enumerate(stream.preperiod + stream.period):
-        if gcd(c, stream.modulus) != 1:
-            return j
-    return None
-
-
 def is_spherically_transitive(g: InitialAutomaton) -> TransitivityVerdict:
     """Decide whether g acts transitively on every depth of the tree.
 
     Requires every output row to be a power of the standard cycle.  The
     full coefficient stream is computed in closed form and scanned for
-    a non-unit; by periodicity, scanning the preperiod plus one period
-    settles every index.
+    a non-unit, a term c with gcd(c, k) > 1; by periodicity, scanning
+    the preperiod plus one period settles every index.
     """
     stream = series_stream(g)
-    bad = _first_non_unit(stream)
-    return TransitivityVerdict(bad is None, bad, stream)
+    for j, c in enumerate(stream.preperiod + stream.period):
+        if gcd(c, stream.modulus) != 1:
+            return TransitivityVerdict(False, j, stream)
+    return TransitivityVerdict(True, None, stream)
 
 
 def abelianization_equal(
@@ -187,7 +181,7 @@ class RationalSeries:
     denominator: tuple[int, ...]
 
     def __post_init__(self):
-        _check_residues(self.modulus)
+        _check_size(self.modulus, "modulus")
         object.__setattr__(self, "numerator", _strip_mod(self.numerator, self.modulus))
         object.__setattr__(
             self, "denominator", _strip_mod(self.denominator, self.modulus)

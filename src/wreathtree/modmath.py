@@ -39,6 +39,7 @@ from .automaton import (
     MealyAutomaton,
     _check_index,
     _check_residues,
+    _check_size,
     _label_vector,
     _Record,
 )
@@ -186,7 +187,7 @@ def char_poly_mod(delta, m: int) -> list[int]:
     The c_j are reduced mod m only at the end, so the result is exact
     for every m.
     """
-    _check_residues(m)
+    _check_size(m, "modulus")
     n, k = len(delta), len(delta[0])
     w = (n * k**n).bit_length() + 1
     lane = (1 << w) - 1
@@ -223,7 +224,6 @@ def series_expand(series, count: int) -> list[int]:
     coeffs: list[int] = []
     for j in range(count):
         acc = num[j] if j < len(num) else 0
-        for i in range(1, min(j, len(den) - 1) + 1):
-            acc -= den[i] * coeffs[j - i]
+        acc -= sum(map(mul, den[1 : j + 1], reversed(coeffs)))
         coeffs.append(acc * d0_inv % m)
     return coeffs

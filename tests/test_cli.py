@@ -676,13 +676,23 @@ def test_cli_loads_dataclasses_and_decide_only_to_decide():
     # start-up cost: only the handlers that decide something import
     # ``decide``, the one module built on ``dataclasses`` (and so on
     # ``inspect``); every other command runs without them
+    deciding_nothing = [
+        ["coeffs", ODOMETER, "--count", "3"],
+        ["validate", ODOMETER],
+        ["orbit", ODOMETER, "--level", "3"],
+        ["apply", ODOMETER, "--word", "011"],
+        ["compose", LAMP_A, LAMP_B],
+        ["inverse", LAMP_A],
+        ["minimize", LAMP_B],
+        ["dot", ODOMETER],
+    ]
     probe = (
         "import sys\n"
         "from wreathtree.cli import main\n"
         "heavy = {'dataclasses', 'inspect', 'wreathtree.decide'}\n"
         "def report(): print(sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
         "report()\n"
-        f"main(['coeffs', {ODOMETER!r}, '--count', '3'])\n"
+        f"print([main(argv) for argv in {deciding_nothing!r}], file=sys.stderr)\n"
         "report()\n"
         f"main(['transitive', {ODOMETER!r}])\n"
         "report()\n"
@@ -692,9 +702,10 @@ def test_cli_loads_dataclasses_and_decide_only_to_decide():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    after_import, after_coeffs, after_transitive = result.stderr.splitlines()
+    after_import, statuses, after_eight, after_transitive = result.stderr.splitlines()
     assert after_import == "[]"
-    assert after_coeffs == "[]"
+    assert statuses == str([0] * len(deciding_nothing))
+    assert after_eight == "[]"
     assert "'wreathtree.decide'" in after_transitive
 
 
