@@ -18,7 +18,6 @@ reduces to iterating w -> A w mod m, the one kernel in ``modmath``.
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -29,6 +28,7 @@ from .automaton import (
     _check_alphabets,
     _check_size,
     _is_int,
+    _label_vector,
     _moduli,
     _not_integer,
     _Record,
@@ -204,14 +204,13 @@ def rational_form(
     Column ``init`` of N's matrix is constant and the others have
     degree at most 1, so N has degree at most n - 1; and N = D S
     exactly over Z.  Hence N = D S mod t^n, built mod m from the first
-    n stream terms, and reducing mod m commutes with both steps: the
-    pair is the two Z[t] determinants reduced mod m.  The pair is
-    returned as it is, not reduced.
+    n series terms, which ``char_poly_mod`` reads off the same loop
+    over the powers of A that gives the traces; reducing mod m commutes
+    with both steps: the pair is the two Z[t] determinants reduced
+    mod m.  The pair is returned as it is, not reduced.
     """
-    m, terms = series_terms(g, labels, component)
-    delta = g.automaton.delta
-    n = len(delta)
-    denominator = char_poly_mod(delta, m)
-    terms = list(islice(terms, n))
-    numerator = [sum(map(mul, denominator[j::-1], terms)) % m for j in range(n)]
+    vector = _label_vector(g.automaton, labels, component)
+    denominator, terms = char_poly_mod(g.automaton.delta, vector, g.initial)
+    m = vector[0]
+    numerator = [sum(map(mul, denominator[j::-1], terms)) % m for j in range(len(terms))]
     return RationalSeries(m, numerator, denominator)

@@ -7,6 +7,8 @@ the characteristic polynomial of the incidence matrix.  No floating
 point appears anywhere.  Only ``char_poly_mod`` works over Z: it packs
 each row of the powers A^j, entries below n k^n, into w-bit lanes of
 one integer, and reads each trace as its diagonal lanes mod 2^w - 1.
+A label vector rides in one more lane on top of each row, so the same
+pass over A^1 .. A^n also yields the first n series terms.
 
 One kernel computes w -> A w mod m for the incidence matrix A, and it
 never builds A: row q of A counts the successors of state q, so
@@ -154,17 +156,22 @@ def series_terms(
     """g's series as (m, its terms one by one), with the labels read as by ``series_stream``.
 
     The terms are lazy, one kernel step each, for callers that read only
-    a bounded prefix: ``abelianization_equal`` and ``rational_form`` read
-    the series through this alone.
+    a bounded prefix: ``abelianization_equal`` reads the series through
+    this alone.  ``rational_form`` takes its n terms from
+    ``char_poly_mod``'s power loop instead.
     """
     m, v = _label_vector(g.automaton, labels, component)
     return m, map(itemgetter(g.initial), _iterates(incidence_matrix(g.automaton), v, m))
 
 
-def char_poly_mod(delta, m: int) -> list[int]:
-    """det(I - A t) mod m, ascending, for the incidence matrix A of ``delta``.
+def char_poly_mod(delta, vector: tuple[int, tuple[int, ...]], init: int):
+    """det(I - A t) mod m and the first n series terms, for the incidence matrix A of ``delta``.
 
-    Read highest degree first, the same list is det(x I - A), the
+    ``vector`` is (m, v) as ``_label_vector`` returns it, and the terms
+    are (A^j v)[init] mod m for j = 0 .. n - 1, as ``coefficient_stream``
+    would give them.  Both come out of one loop over the powers of A.
+
+    Read highest degree first, the denominator is det(x I - A), the
     characteristic polynomial.  Its coefficients c_0 = 1, c_1, ..., c_n
     come from the power sums s_j = tr(A^j) by Newton's identities,
     j c_j = -(c_{j-1} s_1 + c_{j-2} s_2 + ... + c_0 s_j), all over Z.
@@ -180,26 +187,36 @@ def char_poly_mod(delta, m: int) -> list[int]:
     2^w = 1 mod 2^w - 1, that is d_0 + ... + d_{n-1} mod 2^w - 1, and
     this sum is at most n k^n < 2^(w-1) < 2^w - 1, so it is exact.
 
-    Cost: n powers, each n sums of k integers of n w bits, so
-    O(k n^2) additions of n w-bit integers.  Memory peaks near
-    2.5 n^2 w bits: two powers of n^2 w bits while one is built from
-    the other, and the masks, (q + 1) w bits for lane q.
+    Row q also carries v[q] in lane n, above its n entries, so the same
+    gather makes lane n of row q of the j-th power (A^j v)[q], exactly
+    over Z.  That lane is the top of a Python int, so it grows to
+    k^j (m - 1) with nothing to carry into, and no diagonal mask reaches
+    it, so the traces never read it.  Term j is lane n of row ``init``
+    mod m, read before the (j + 1)-th power is built.
+
+    Cost: n powers, each n sums of k integers of (n + 1) w + b bits,
+    where the top lane takes at most w + b with b = bit_length(m), so
+    O(k n^2) additions of such integers.  Memory peaks near 2.5 n^2 w
+    bits: two powers of n^2 w bits while one is built from the other,
+    each with n top lanes, and the masks, (q + 1) w bits for lane q.
     The c_j are reduced mod m only at the end, so the result is exact
     for every m.
     """
+    m, v = vector
     _check_size(m, "modulus")
     n, k = len(delta), len(delta[0])
     w = (n * k**n).bit_length() + 1
     lane = (1 << w) - 1
-    power = [1 << q * w for q in range(n)]
+    power = [1 << q * w | v[q] << n * w for q in range(n)]
     diag = [lane << q * w for q in range(n)]
     rows = _rows(delta)
-    c, s = [1], [0]
+    c, s, terms = [1], [0], []
     for j in range(1, n + 1):
+        terms.append((power[init] >> n * w) % m)
         power = [sum(row(power)) for row in rows]
         s.append(sum(map(and_, power, diag)) % lane)
         c.append(-sum(map(mul, c, s[j:0:-1])) // j)
-    return [x % m for x in c]
+    return [x % m for x in c], terms
 
 
 def series_expand(series, count: int) -> list[int]:

@@ -205,32 +205,64 @@ def test_stream_visit_cap(lamp_b):
 # ---------- characteristic polynomials ----------
 
 
+def _denominator(delta, m):
+    """char_poly_mod's denominator, given the zero vector, whose terms are all 0."""
+    denominator, terms = char_poly_mod(delta, (m, (0,) * len(delta)), 0)
+    assert terms == [0] * len(delta)
+    return denominator
+
+
 def test_char_poly_examples(odometer, lamp_b):
     # det(I - At) = (1 - t)(1 - 2t) for the odometer, 1 - 2t for lamp_b
-    assert char_poly_mod(odometer.automaton.delta, 7) == [1, 4, 2]
-    assert char_poly_mod(odometer.automaton.delta, 2) == [1, 1, 0]
-    assert char_poly_mod(lamp_b.automaton.delta, 5) == [1, 3, 0]
-    assert char_poly_mod(((0, 0, 0),), 4) == [1, 1]
+    assert _denominator(odometer.automaton.delta, 7) == [1, 4, 2]
+    assert _denominator(odometer.automaton.delta, 2) == [1, 1, 0]
+    assert _denominator(lamp_b.automaton.delta, 5) == [1, 3, 0]
+    assert _denominator(((0, 0, 0),), 4) == [1, 1]
+    # the odometer's shifts are (1, 0): its series from a is 1, 1, 1, ...
+    assert char_poly_mod(odometer.automaton.delta, (2, (1, 0)), 0) == ([1, 1, 0], [1, 1])
     # the modulus follows the residue rule: no floats out, no ZeroDivisionError
     for m, message in (
         (2.0, "modulus 2.0 is not an integer"),
         (0, "modulus 0 must be at least 2"),
     ):
         with pytest.raises(AutomatonError) as err:
-            char_poly_mod(odometer.automaton.delta, m)
+            _denominator(odometer.automaton.delta, m)
         assert type(err.value) is AutomatonError
         assert str(err.value) == message
 
 
 def test_char_poly_lane_bound():
     # every symbol loops, so A = k I and det(I - A t) = (1 - k t)^n: the
-    # widest lanes, since tr(A^n) = n k^n
+    # widest lanes, since tr(A^n) = n k^n; a nonzero vector in the top
+    # lane grows to k^(n-1) v[init] and must not reach the traces
     for k in (2, 3, 9):
         for n in (1, 2, 5, 17, 40):
             delta = tuple((q,) * k for q in range(n))
             for m in (2, 6, 2**64 + 13):
                 want = [math.comb(n, j) * (-k) ** j % m for j in range(n + 1)]
-                assert char_poly_mod(delta, m) == want, (k, n, m)
+                assert _denominator(delta, m) == want, (k, n, m)
+            m = 2**64 + 13
+            v = tuple(m - 1 - q for q in range(n))
+            for init in {0, n - 1}:
+                got = char_poly_mod(delta, (m, v), init)
+                want_terms = [k**j * v[init] % m for j in range(n)]
+                assert got == (want, want_terms), (k, n, init)
+
+
+def test_char_poly_terms_are_the_stream_terms(rng):
+    # the power loop's n terms are the first n of the lazy stream, for
+    # the shifts mod k and for labelled components, one state included
+    for draw in range(160):
+        k = rng.randint(2, 9)
+        g = corpus.random_cyclic(rng, k, 1 if draw % 8 == 0 else 14)
+        n = g.automaton.n_states
+        labels = corpus.random_labels(rng, n, rng.sample([2, 6, 7, 2**64 + 13], 2))
+        vectors = [(None, 0, abelian_vector(validate_cyclic(g.automaton), 0))]
+        vectors += [(labels, c, abelian_vector(labels, c)) for c in (0, 1)]
+        for lab, component, vector in vectors:
+            _, stream = series_terms(g, lab, component)
+            _, terms = char_poly_mod(g.automaton.delta, vector, g.initial)
+            assert terms == list(itertools.islice(stream, n)), (g, lab, component)
 
 
 def test_char_poly_past_forty_states():
@@ -240,19 +272,23 @@ def test_char_poly_past_forty_states():
         delta = g.automaton.delta
         n, k = len(delta), len(delta[0])
         for m in (2, 6, 2**64 + 13):
-            assert char_poly_mod(delta, m) == [1, -k % m] + [0] * (n - 1), (n, m)
+            assert _denominator(delta, m) == [1, -k % m] + [0] * (n - 1), (n, m)
 
 
 def test_char_poly_memory_grows_as_n_squared_lanes():
-    # two powers of n^2 w bits and the masks: about 2.5 n^2 w bits, read
-    # by tracemalloc as under 3.5 n^2 w with object headers
+    # two powers of n^2 w bits, each with a top lane per row for the
+    # label vector, and the masks: about 2.5 n^2 w bits, read by
+    # tracemalloc as under 3.5 n^2 w with object headers
     for n in (80, 120):
-        delta = corpus.random_cyclic(random.Random(n), 3, n, n).automaton.delta
+        g = corpus.random_cyclic(random.Random(n), 3, n, n)
+        delta = g.automaton.delta
+        vector = abelian_vector(validate_cyclic(g.automaton), 0)
+        assert any(vector[1])
         w = (n * 3**n).bit_length() + 1
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            char_poly_mod(delta, 3)
+            char_poly_mod(delta, vector, g.initial)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -272,7 +308,7 @@ def test_char_poly_matches_sympy(rng):
         counts = sympy.Matrix(n, n, lambda r, s: delta[r].count(s))
         # det(x I - A) highest degree first is det(I - A t) lowest first
         want = [int(c) % m for c in counts.charpoly(x).all_coeffs()]
-        assert char_poly_mod(delta, m) == want, (delta, m)
+        assert _denominator(delta, m) == want, (delta, m)
 
 
 # ---------- rational series ----------
