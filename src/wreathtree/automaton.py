@@ -308,13 +308,18 @@ def _label_vector(m: MealyAutomaton, labels: AbelianLabels | None, component: in
 
     With no labels the one component is each state's shift e, where the
     state writes a -> a+e mod k, and the output rows are judged before
-    the component.
+    the component.  A row starting with e is cyclic iff it equals the
+    one rotation of the alphabet that starts there, so each row is one
+    tuple comparison; the rotation is built per row, as a table of all
+    k rotations would take k^2 memory on unbounded alphabets.
     """
     moduli = _moduli(m, labels)
     if labels is not None:
         return abelian_vector(labels, component)
+    alphabet = tuple(range(m.k))
     for q, row in enumerate(m.out):
-        if any(b != (a + row[0]) % m.k for a, b in enumerate(row)):
+        e = row[0]
+        if row != alphabet[e:] + alphabet[:e]:
             raise NotCyclicError(m.names[q])
     _check_index(component, "component", len(moduli), BadComponentError)
     return moduli[component], tuple(row[0] for row in m.out)

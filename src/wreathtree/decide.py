@@ -13,7 +13,7 @@ written at that vertex.  Two classical facts drive everything here:
 
 The stream coefficients are ``(A^j v)[init]`` where A is the incidence
 matrix of the machine and v holds the per-state shifts, so all of this
-reduces to iterating w -> A w mod m, the one kernel in ``modmath``.
+reduces to iterating w -> A w mod m, the stream kernel in ``modmath``.
 """
 
 import enum

@@ -926,6 +926,46 @@ def test_validate_cyclic_rejects_transposition():
     assert err.value.state == "a"
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 12])
+def test_validate_cyclic_compares_each_row_with_its_rotation(k):
+    # rotations read back as their first symbol; a row that starts like
+    # rotation e but swaps its last two symbols is refused at its state,
+    # the first such state when there are two (k = 2 has no such row)
+    shifts = [0, 1, k - 1, 2 % k, 1]
+    names = tuple(f"q{i}" for i in range(len(shifts)))
+    delta = ((0,) * k,) * len(shifts)
+    rows = [corpus.cycle_row(k, e) for e in shifts]
+    assert validate_cyclic(MealyAutomaton(k, names, delta, rows)).labels == tuple(
+        (e,) for e in shifts
+    )
+    if k == 2:
+        return
+    for bad in ([0], [2], [4], [1, 3], [3, 4]):
+        out = list(rows)
+        for q in bad:
+            out[q] = out[q][:-2] + out[q][:-3:-1]
+            assert out[q][0] == shifts[q]
+        with pytest.raises(NotCyclicError) as err:
+            validate_cyclic(MealyAutomaton(k, names, delta, out))
+        assert err.value.state == names[bad[0]], (k, bad)
+
+
+def test_validate_cyclic_memory_stays_linear_in_k():
+    # a table of all k rotations would hold k^2 references, 32 MB here
+    k = 2000
+    rows = [corpus.cycle_row(k, e) for e in (5, 0, k - 1)]
+    m = MealyAutomaton(k, ("a", "b", "c"), ((0,) * k,) * 3, rows)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        labels = validate_cyclic(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.labels == ((5,), (0,), (k - 1,))
+    assert peak < 8 * k * k / 50, peak
+
+
 def test_every_binary_invertible_machine_is_cyclic(rng):
     for _ in range(30):
         g = corpus.random_invertible(rng, 2)

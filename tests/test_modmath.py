@@ -298,8 +298,10 @@ def test_char_poly_memory_grows_as_n_squared_lanes():
 def test_char_poly_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    # many small tables with small moduli, then a few large ones past 2^64
+    # many small tables with small moduli, a few large ones past 2^64,
+    # then tables with more letters than states, down to one state
     draws = [((1, 7), (2, 6), (2, 30))] * 150 + [((8, 40), (2, 9), (2**64 + 1, 2**70))] * 4
+    draws += [((1, 3), (6, 9), (2, 30))] * 60
     for n_range, k_range, m_range in draws:
         n = rng.randint(*n_range)
         k = rng.randint(*k_range)
