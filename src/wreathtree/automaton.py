@@ -154,7 +154,8 @@ class _Record:
     Records are checked once, where they enter: a constructor checks
     what it is given, ``parse_automaton`` checks each line as it reads
     it, and the records built from checked parts are built by ``_of``,
-    unchecked.
+    unchecked; ``decide.RationalSeries._of`` is the same for that frozen
+    dataclass.
 
     Frozen dataclasses would do the same, but ``dataclasses`` imports
     ``inspect``, ``ast`` and ``tokenize`` and runs a code generator per
@@ -309,20 +310,22 @@ def _label_vector(m: MealyAutomaton, labels: AbelianLabels | None, component: in
     With no labels the one component is each state's shift e, where the
     state writes a -> a+e mod k, and the output rows are judged before
     the component.  A row starting with e is cyclic iff it equals the
-    one rotation of the alphabet that starts there, so each row is one
-    tuple comparison; the rotation is built per row, as a table of all
-    k rotations would take k^2 memory on unbounded alphabets.
+    one rotation of the alphabet that starts there, so each distinct row
+    is judged once, in order of first use, by one tuple comparison; the
+    rotation is built per row, as a table of all k rotations would take
+    k^2 memory on unbounded alphabets.  The first bad row in that order
+    is the row of the first bad state, which ``NotCyclicError`` names.
     """
     moduli = _moduli(m, labels)
     if labels is not None:
         return abelian_vector(labels, component)
     alphabet = tuple(range(m.k))
-    for q, row in enumerate(m.out):
+    for row in dict.fromkeys(m.out):
         e = row[0]
         if row != alphabet[e:] + alphabet[:e]:
-            raise NotCyclicError(m.names[q])
+            raise NotCyclicError(m.names[m.out.index(row)])
     _check_index(component, "component", len(moduli), BadComponentError)
-    return moduli[component], tuple(row[0] for row in m.out)
+    return moduli[component], tuple(map(itemgetter(0), m.out))
 
 
 def validate_cyclic(m: MealyAutomaton) -> AbelianLabels:

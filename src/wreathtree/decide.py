@@ -19,7 +19,8 @@ reduces to iterating w -> A w mod m, the stream kernel in ``modmath``.
 import enum
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from itertools import repeat
+from operator import and_, lshift, mod, rshift
 
 from .automaton import (
     AbelianLabels,
@@ -163,9 +164,16 @@ def _strip_mod(coeffs, m: int) -> tuple[int, ...]:
         if not _is_int(c):
             raise _not_integer("coefficient", c)
         reduced.append(c % m)
-    while reduced and reduced[-1] == 0:
-        reduced.pop()
-    return tuple(reduced)
+    return _stripped(reduced)
+
+
+def _stripped(residues) -> tuple[int, ...]:
+    """The residues as a tuple with trailing zeros stripped."""
+    residues = tuple(residues)
+    end = len(residues)
+    while end and not residues[end - 1]:
+        end -= 1
+    return residues[:end]
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,15 @@ class RationalSeries:
         object.__setattr__(
             self, "denominator", _strip_mod(self.denominator, self.modulus)
         )
+
+    @classmethod
+    def _of(cls, modulus: int, numerator, denominator) -> "RationalSeries":
+        """The record of these canonical residues, trailing zeros stripped, unchecked."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "modulus", modulus)
+        object.__setattr__(record, "numerator", _stripped(numerator))
+        object.__setattr__(record, "denominator", _stripped(denominator))
+        return record
 
 
 def rational_form(
@@ -208,9 +225,24 @@ def rational_form(
     over the powers of A that gives the traces; reducing mod m commutes
     with both steps: the pair is the two Z[t] determinants reduced
     mod m.  The pair is returned as it is, not reduced.
+
+    The truncated product is one big-integer product (Kronecker
+    substitution): the first n residues of D and the n terms each go
+    into lanes of width = bit_length(n (m - 1)^2) + 1 bits of one
+    integer, and lanes 0 .. n - 1 of the product are N's coefficients
+    before the reduction mod m.  Every lane of the product sums at most
+    n products of two residues, so it holds at most
+    n (m - 1)^2 < 2^(width - 1) and never carries into the next; c_n
+    reaches only lane n and above, which are not read, so it is not
+    packed.  Packing, reading and reducing are maps, with no
+    Python-level step per coefficient.  The residues are canonical, so
+    the record is built by ``RationalSeries._of``, unchecked.
     """
     vector = _label_vector(g.automaton, labels, component)
     denominator, terms = char_poly_mod(g.automaton.delta, vector, g.initial)
-    m = vector[0]
-    numerator = [sum(map(mul, denominator[j::-1], terms)) % m for j in range(len(terms))]
-    return RationalSeries(m, numerator, denominator)
+    m, n = vector[0], len(terms)
+    width = (n * (m - 1) ** 2).bit_length() + 1
+    shifts = range(0, n * width, width)
+    product = sum(map(lshift, denominator, shifts)) * sum(map(lshift, terms, shifts))
+    lanes = map(and_, map(rshift, repeat(product, n), shifts), repeat((1 << width) - 1, n))
+    return RationalSeries._of(m, map(mod, lanes, repeat(m, n)), denominator)

@@ -950,6 +950,53 @@ def test_validate_cyclic_compares_each_row_with_its_rotation(k):
         assert err.value.state == names[bad[0]], (k, bad)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 12])
+def test_validate_cyclic_judges_each_distinct_row_once(k):
+    # rows repeat across states: the shifts are still read per state, and
+    # the error names the first state whose row is bad, however the bad and
+    # good rows repeat and interleave (k = 2 has no bad row)
+    good = [corpus.cycle_row(k, e) for e in range(k)]
+    rng = random.Random(k)
+    n = 12
+    names = tuple(f"q{i}" for i in range(n))
+    delta = ((0,) * k,) * n
+
+    def judged(out):
+        return validate_cyclic(MealyAutomaton(k, names, delta, out))
+
+    out = [rng.choice(good[:3]) for _ in range(n)]
+    assert len(set(out)) < n
+    assert judged(out).labels == tuple((row[0],) for row in out)
+    if k == 2:
+        return
+    swapped = good[1][:-2] + good[1][:-3:-1]  # starts like rotation 1
+    reversed_row = good[0][::-1]  # starts like rotation k - 1
+    for places, first in (
+        ({swapped: [4, 9]}, 4),  # one bad row, repeated
+        ({swapped: [5, 10], reversed_row: [3, 8]}, 3),  # two bad rows, interleaved
+        ({swapped: [2, 8], reversed_row: [5, 11]}, 2),
+        ({reversed_row: [6, 7, 11]}, 6),
+    ):
+        bad = list(out)
+        bad[:4] = [good[0]] * 4  # a good row repeated before the bad ones
+        for row, states in places.items():
+            for q in states:
+                bad[q] = row
+        with pytest.raises(NotCyclicError) as err:
+            judged(bad)
+        assert err.value.state == names[first], (k, places)
+    pool = good[:2] + [swapped, reversed_row]
+    for _ in range(50):
+        bad = [rng.choice(pool) for _ in range(n)]
+        first = next((q for q, row in enumerate(bad) if row not in good), None)
+        if first is None:
+            assert judged(bad).labels == tuple((row[0],) for row in bad)
+            continue
+        with pytest.raises(NotCyclicError) as err:
+            judged(bad)
+        assert err.value.state == names[first]
+
+
 def test_validate_cyclic_memory_stays_linear_in_k():
     # a table of all k rotations would hold k^2 references, 32 MB here
     k = 2000

@@ -431,6 +431,22 @@ def test_rational_form_equals_the_cramer_pair(rng):
     assert sizes == set(range(1, 13))
 
 
+@pytest.mark.parametrize("m", [2, 2**64 + 13, 2**89 - 1])
+def test_rational_form_equals_the_cramer_pair_in_wide_lanes(m):
+    # the numerator is one product of integers packed in lanes of
+    # bit_length(n (m - 1)^2) + 1 bits: the narrowest at m = 2, several
+    # machine words wide at the large moduli, where residues near m fill them
+    rng = random.Random(m)
+    for trial in range(64):
+        k, n = 2 + trial % 8, 1 + trial // 8
+        g = corpus.random_cyclic(rng, k, max_states=n, min_states=n)
+        labels = corpus.random_labels(rng, n, (m,))
+        if trial % 3 == 0:
+            labels = AbelianLabels((m,), tuple((m - 1 - rng.randrange(min(3, m)),) for _ in range(n)))
+        (want,) = polyref.cramer_pairs(g, labels)
+        assert rational_form(g, labels) == want, (g, labels)
+
+
 @pytest.mark.parametrize("n", [40, 60])
 def test_rational_form_on_large_machines(n):
     # too large for the Z[t] reference, and their streams are far too long

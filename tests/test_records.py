@@ -8,6 +8,7 @@ package derives are not checked again and equal their checked twins.
 """
 
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -29,7 +30,7 @@ from wreathtree.automaton import (
     serialize_automaton,
     validate_cyclic,
 )
-from wreathtree.decide import ConjugacyStatus, ConjugacyVerdict
+from wreathtree.decide import ConjugacyStatus, ConjugacyVerdict, RationalSeries
 from wreathtree.modmath import (
     EventuallyPeriodicStream,
     coefficient_stream,
@@ -316,3 +317,42 @@ def test_label_rows_are_checked_once_as_they_are_read(monkeypatch):
         checks.clear()
         validate_cyclic(parsed.automaton)
         assert checks == []
+
+
+# ---------- RationalSeries, a frozen dataclass with its own _of ----------
+
+
+@pytest.mark.parametrize("m", [2, 3, 12, 2**64, 2**64 + 13, 2**89 - 1])
+def test_rational_series_of_equals_its_checked_twin(m):
+    # rational_form builds its record from canonical residues by _of:
+    # trailing zeros go, an all-zero numerator is (), and the record is
+    # the checked one down to its pickle bytes
+    rng = random.Random(m)
+    for trial in range(60):
+        numerator = [rng.randrange(m) for _ in range(rng.randint(0, 6))]
+        numerator += [0] * rng.randint(0, 3)
+        if trial % 4 == 0:
+            numerator = [0] * rng.randint(0, 4)
+        denominator = [1] + [rng.randrange(m) for _ in range(rng.randint(0, 6))]
+        denominator += [0] * rng.randint(0, 2)
+        built = RationalSeries._of(m, iter(numerator), denominator)
+        checked = RationalSeries(m, numerator, denominator)
+        assert vars(built) == vars(checked) and list(vars(built)) == list(vars(checked))
+        assert built.numerator.__class__ is built.denominator.__class__ is tuple
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+        assert pickle.dumps(built) == pickle.dumps(checked)
+        assert not built.numerator or built.numerator[-1]
+        assert built.denominator[-1]
+        if trial % 4 == 0:
+            assert built.numerator == ()
+
+
+def test_replacing_a_field_of_an_unchecked_rational_series_checks_it():
+    built = RationalSeries._of(5, [1, 2, 0], [1, 4])
+    assert built == RationalSeries(5, (1, 2), (1, 4))
+    assert dataclasses.replace(built, numerator=(6, 5)) == RationalSeries(5, (1,), (1, 4))
+    with pytest.raises(AutomatonError, match="coefficient 1.5 is not an integer"):
+        dataclasses.replace(built, numerator=(1.5,))
+    with pytest.raises(AutomatonError, match="modulus 1 must be at least 2"):
+        dataclasses.replace(built, modulus=1)
