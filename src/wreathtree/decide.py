@@ -12,15 +12,15 @@ written at that vertex.  Two classical facts drive everything here:
   agree.
 
 The stream coefficients are ``(A^j v)[init]`` where A is the incidence
-matrix of the machine and v holds the per-state shifts, so all of this
-reduces to iterating w -> A w mod m, the stream kernel in ``modmath``.
+matrix of the machine and v holds the per-state shifts.  Transitivity,
+equality and conjugacy iterate w -> A w mod m, the stream kernel in
+``modmath``; ``rational_form`` instead takes the powers A^1 .. A^n
+over Z, in ``modmath.rational_pair``.
 """
 
 import enum
 from dataclasses import dataclass
 from math import gcd
-from itertools import repeat
-from operator import and_, lshift, mod, rshift
 
 from .automaton import (
     AbelianLabels,
@@ -34,7 +34,7 @@ from .automaton import (
     _not_integer,
     _Record,
 )
-from .modmath import EventuallyPeriodicStream, char_poly_mod, series_stream, series_terms
+from .modmath import EventuallyPeriodicStream, rational_pair, series_stream, series_terms
 
 
 class ModuliMismatchError(AutomatonError):
@@ -212,37 +212,10 @@ def rational_form(
 ) -> RationalSeries:
     """The abelianization series as a quotient of polynomials mod m.
 
-    The series S is the ``init`` coordinate of (I - At)^-1 v for the
-    incidence matrix A and the labels v, so by Cramer's rule it is N/D
-    with D = det(I - At) and N the same determinant with column
-    ``init`` replaced by v.  D is the characteristic polynomial of A
-    read backwards, computed over Z from the traces of the powers of A
-    by Newton's identities and reduced mod m (``char_poly_mod``).
-    Column ``init`` of N's matrix is constant and the others have
-    degree at most 1, so N has degree at most n - 1; and N = D S
-    exactly over Z.  Hence N = D S mod t^n, built mod m from the first
-    n series terms, which ``char_poly_mod`` reads off the same loop
-    over the powers of A that gives the traces; reducing mod m commutes
-    with both steps: the pair is the two Z[t] determinants reduced
-    mod m.  The pair is returned as it is, not reduced.
-
-    The truncated product is one big-integer product (Kronecker
-    substitution): the first n residues of D and the n terms each go
-    into lanes of width = bit_length(n (m - 1)^2) + 1 bits of one
-    integer, and lanes 0 .. n - 1 of the product are N's coefficients
-    before the reduction mod m.  Every lane of the product sums at most
-    n products of two residues, so it holds at most
-    n (m - 1)^2 < 2^(width - 1) and never carries into the next; c_n
-    reaches only lane n and above, which are not read, so it is not
-    packed.  Packing, reading and reducing are maps, with no
-    Python-level step per coefficient.  The residues are canonical, so
-    the record is built by ``RationalSeries._of``, unchecked.
+    The labels are read as by ``series_stream``, and the pair N/D is
+    ``modmath.rational_pair``'s.  Its residues are canonical, so the
+    record is built by ``RationalSeries._of``, unchecked.
     """
     vector = _label_vector(g.automaton, labels, component)
-    denominator, terms = char_poly_mod(g.automaton.delta, vector, g.initial)
-    m, n = vector[0], len(terms)
-    width = (n * (m - 1) ** 2).bit_length() + 1
-    shifts = range(0, n * width, width)
-    product = sum(map(lshift, denominator, shifts)) * sum(map(lshift, terms, shifts))
-    lanes = map(and_, map(rshift, repeat(product, n), shifts), repeat((1 << width) - 1, n))
-    return RationalSeries._of(m, map(mod, lanes, repeat(m, n)), denominator)
+    numerator, denominator = rational_pair(g.automaton.delta, vector, g.initial)
+    return RationalSeries._of(vector[0], numerator, denominator)

@@ -3,12 +3,9 @@
 Everything here is integer arithmetic: residue vectors mod m, the
 state-transition incidence matrix of an automaton, eventually periodic
 coefficient streams found by remembering every visited vector, and
-the characteristic polynomial of the incidence matrix.  No floating
-point appears anywhere.  Only ``char_poly_mod`` works over Z: it packs
-each row of the powers A^j, entries below n k^n, into w-bit lanes of
-one integer, and reads each trace as its diagonal lanes mod 2^w - 1.
-A label vector rides in one more lane on top of each row, so the same
-pass over A^1 .. A^n also yields the first n series terms.
+the series as a quotient of two polynomials.  No floating point
+appears anywhere.  Only ``rational_pair`` works over Z, in lanes of
+big integers that its docstring states.
 
 Neither loop builds A.  Row q of A counts the successors of state q,
 so (A w)[q] is the sum of w over those successors, and A is the sum of
@@ -17,7 +14,7 @@ delta(q, a) of X.  Each loop gathers one way, the cheaper one at its
 sizes.  The stream kernel w -> A w mod m gathers by rows:
 ``incidence_matrix`` keeps one ``itemgetter`` per state, and
 ``_iterates`` yields w, A w, A^2 w, ... from them, as its tables have
-few states and up to nine letters.  ``char_poly_mod`` gathers by the k
+few states and up to nine letters.  ``rational_pair`` gathers by the k
 letter columns and adds the k gathered powers element-wise, as its
 tables have many more states than letters.
 
@@ -36,7 +33,7 @@ the d iterates before it.
 
 from itertools import chain, cycle, islice
 from math import gcd
-from operator import add, and_, itemgetter, mul
+from operator import add, and_, itemgetter, lshift, mul
 
 from .automaton import (
     AbelianLabels,
@@ -101,7 +98,7 @@ def incidence_matrix(m: MealyAutomaton) -> tuple:
     These rows are the stream kernel's gather, n Python-level sums per
     step.  Its tables have few states, n <= 8 against up to 9 letters
     on the series workloads, where rows measured 1.4-1.5x faster than
-    ``char_poly_mod``'s gather by the k letter columns.
+    ``rational_pair``'s gather by the k letter columns.
     """
     return tuple(itemgetter(*row) for row in m.delta)
 
@@ -162,51 +159,61 @@ def series_terms(
     The terms are lazy, one kernel step each, for callers that read only
     a bounded prefix: ``abelianization_equal`` reads the series through
     this alone.  ``rational_form`` takes its n terms from
-    ``char_poly_mod``'s power loop instead.
+    ``rational_pair``'s power loop instead.
     """
     m, v = _label_vector(g.automaton, labels, component)
     return m, map(itemgetter(g.initial), _iterates(incidence_matrix(g.automaton), v, m))
 
 
-def char_poly_mod(delta, vector: tuple[int, tuple[int, ...]], init: int):
-    """det(I - A t) mod m and the first n series terms, for the incidence matrix A of ``delta``.
+def rational_pair(delta, vector: tuple[int, tuple[int, ...]], init: int):
+    """The series j -> (A^j v)[init] as (numerator, denominator) mod m.
 
-    ``vector`` is (m, v) as ``_label_vector`` returns it, and the terms
-    are (A^j v)[init] mod m for j = 0 .. n - 1, as ``coefficient_stream``
-    would give them.  Both come out of one loop over the powers of A.
+    A is the incidence matrix of ``delta`` and ``vector`` is (m, v) as
+    ``_label_vector`` returns it.  Both polynomials are lists of
+    canonical residues, lowest degree first and not stripped: n for the
+    numerator and n + 1 for the denominator.
 
-    Read highest degree first, the denominator is det(x I - A), the
-    characteristic polynomial.  Its coefficients c_0 = 1, c_1, ..., c_n
-    come from the power sums s_j = tr(A^j) by Newton's identities,
-    j c_j = -(c_{j-1} s_1 + c_{j-2} s_2 + ... + c_0 s_j), all over Z.
-    The division by j is exact: the c_j are integers, because A is.
+    The series S is the ``init`` coordinate of (I - A t)^-1 v, so by
+    Cramer's rule S = N/D with D = det(I - A t) and N the same
+    determinant with column ``init`` replaced by v.  Read highest degree
+    first, D is det(x I - A), the characteristic polynomial.  Its
+    coefficients c_0 = 1, c_1, ..., c_n come from the power sums
+    s_j = tr(A^j) by Newton's identities,
+    j c_j = -(c_{j-1} s_1 + c_{j-2} s_2 + ... + c_0 s_j), all over Z;
+    the division by j is exact, as the c_j are integers.  Column
+    ``init`` of N's matrix is constant and the others have degree at
+    most 1, so N has degree at most n - 1, and N = D S over Z; hence
+    N = D S mod t^n, from the first n terms of S.  Reducing mod m
+    commutes with both steps, so the pair is exact for every m.
 
-    Row q of A^(j+1) is the sum of the rows of A^j at q's successors.
-    With A = P_0 + ... + P_(k-1), P_a the 0/1 matrix of letter a, that
+    One loop over A^1 .. A^n gives the traces and the terms.  A^(j+1)
     is the k gathers P_a A^j added element-wise: one ``itemgetter`` per
     letter reads the rows at column a of ``delta``, and k - 1 lazy
     ``map(add, ...)`` join the k gathered tuples, so a power takes k
     Python-level steps where the stream kernel's row gather takes n.
-    The gather is by columns because here n is large next to k.  Each
-    getter also reads a zero row kept at index n, so it returns a tuple
-    even for one state; that row stays zero, and neither ``diag`` nor
-    ``init`` reaches it.
+    Each getter also reads a zero row kept at index n, so it returns a
+    tuple even for one state; that row stays zero, and neither ``diag``
+    nor ``init`` reaches it.
 
-    A has row sums k, so every entry of A^j for j <= n is at most k^n
-    and every trace at most n k^n; each row is one integer holding its
-    n entries in lanes of w = bit_length(n k^n) + 1 bits, which never
-    carry into each other.  The trace is one AND per row with its
-    diagonal lane, which leaves the diagonal entry d_q in lane q, and
-    their sum mod 2^w - 1: as 2^w = 1 mod 2^w - 1, that is
-    d_0 + ... + d_{n-1} mod 2^w - 1, and this sum is at most
-    n k^n < 2^(w-1) < 2^w - 1, so it is exact.
-
-    Row q also carries v[q] in lane n, above its n entries, so the same
-    gather makes lane n of row q of the j-th power (A^j v)[q], exactly
-    over Z.  That lane is the top of a Python int, so it grows to
-    k^j (m - 1) with nothing to carry into, and no diagonal mask reaches
-    it, so the traces never read it.  Term j is lane n of row ``init``
-    mod m, read before the (j + 1)-th power is built.
+    The lanes.  A has row sums k, so every entry of A^j for j <= n is at
+    most k^n and every trace at most n k^n.  Row q of a power is one
+    integer holding its n entries in lanes of w = bit_length(n k^n) + 1
+    bits, which never carry into each other.  The trace is one AND per
+    row with its diagonal lane, which leaves the diagonal entry d_q in
+    lane q, and their sum mod 2^w - 1: as 2^w = 1 mod 2^w - 1, that is
+    d_0 + ... + d_{n-1}, exact since it is at most n k^n < 2^w - 1.
+    Row q also carries v[q] in lane n, so the same gather makes lane n
+    of row q of A^j equal to (A^j v)[q], exactly over Z; it is the top
+    of a Python int, so it grows to k^j (m - 1) with nothing to carry
+    into, and no diagonal mask reaches it.  Term j is that lane of row
+    ``init`` mod m, read before A^(j+1) is built.  The truncated
+    product D S mod t^n is one big-integer product (Kronecker
+    substitution): the first n residues of D and the n terms go into
+    lanes of width = bit_length(n (m - 1)^2) + 1 bits, and lanes
+    0 .. n - 1 of the product, mod m, are N.  Each of those lanes sums
+    at most n products of two residues, at most n (m - 1)^2 <
+    2^(width - 1), so none carries; c_n reaches only lanes n and above,
+    which are not read, so it is not packed.
 
     Cost: n powers, each n sums of k integers of (n + 1) w + b bits,
     where the top lane takes at most w + b with b = bit_length(m), so
@@ -214,8 +221,7 @@ def char_poly_mod(delta, vector: tuple[int, tuple[int, ...]], init: int):
     Memory peaks near 2.5 n^2 w bits: two powers of n^2 w bits while
     one is built from the other, each with n top lanes, and the masks,
     (q + 1) w bits for lane q; the gathered tuples hold references to
-    the rows, not copies.  The c_j are reduced mod m only at the end, so
-    the result is exact for every m.
+    the rows, not copies.  The product adds O(n width) bits.
     """
     m, v = vector
     _check_size(m, "modulus")
@@ -234,7 +240,12 @@ def char_poly_mod(delta, vector: tuple[int, tuple[int, ...]], init: int):
         power = list(gathered)
         s.append(sum(map(and_, power, diag)) % lane)
         c.append(-sum(map(mul, c, s[j:0:-1])) // j)
-    return [x % m for x in c], terms
+    denominator = [x % m for x in c]
+    width = (n * (m - 1) ** 2).bit_length() + 1
+    shifts = range(0, n * width, width)
+    product = sum(map(lshift, denominator, shifts)) * sum(map(lshift, terms, shifts))
+    mask = (1 << width) - 1
+    return [(product >> shift & mask) % m for shift in shifts], denominator
 
 
 def series_expand(series, count: int) -> list[int]:

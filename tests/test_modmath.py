@@ -24,7 +24,7 @@ from wreathtree.automaton import (
 from wreathtree.modmath import (
     EventuallyPeriodicStream,
     NonUnitConstantTermError,
-    char_poly_mod,
+    rational_pair,
     series_stream,
     series_terms,
 )
@@ -206,9 +206,9 @@ def test_stream_visit_cap(lamp_b):
 
 
 def _denominator(delta, m):
-    """char_poly_mod's denominator, given the zero vector, whose terms are all 0."""
-    denominator, terms = char_poly_mod(delta, (m, (0,) * len(delta)), 0)
-    assert terms == [0] * len(delta)
+    """rational_pair's denominator, given the zero vector, whose numerator is all 0."""
+    numerator, denominator = rational_pair(delta, (m, (0,) * len(delta)), 0)
+    assert numerator == [0] * len(delta)
     return denominator
 
 
@@ -218,8 +218,9 @@ def test_char_poly_examples(odometer, lamp_b):
     assert _denominator(odometer.automaton.delta, 2) == [1, 1, 0]
     assert _denominator(lamp_b.automaton.delta, 5) == [1, 3, 0]
     assert _denominator(((0, 0, 0),), 4) == [1, 1]
-    # the odometer's shifts are (1, 0): its series from a is 1, 1, 1, ...
-    assert char_poly_mod(odometer.automaton.delta, (2, (1, 0)), 0) == ([1, 1, 0], [1, 1])
+    # the odometer's shifts are (1, 0): its series from a is 1/(1 - t),
+    # so N = D/(1 - t) = 1 - 2t
+    assert rational_pair(odometer.automaton.delta, (2, (1, 0)), 0) == ([1, 0], [1, 1, 0])
     # the modulus follows the residue rule: no floats out, no ZeroDivisionError
     for m, message in (
         (2.0, "modulus 2.0 is not an integer"),
@@ -234,7 +235,8 @@ def test_char_poly_examples(odometer, lamp_b):
 def test_char_poly_lane_bound():
     # every symbol loops, so A = k I and det(I - A t) = (1 - k t)^n: the
     # widest lanes, since tr(A^n) = n k^n; a nonzero vector in the top
-    # lane grows to k^(n-1) v[init] and must not reach the traces
+    # lane grows to k^(n-1) v[init] and must not reach the traces, and
+    # the series v[init]/(1 - k t) makes N = v[init] (1 - k t)^(n-1)
     for k in (2, 3, 9):
         for n in (1, 2, 5, 17, 40):
             delta = tuple((q,) * k for q in range(n))
@@ -244,14 +246,14 @@ def test_char_poly_lane_bound():
             m = 2**64 + 13
             v = tuple(m - 1 - q for q in range(n))
             for init in {0, n - 1}:
-                got = char_poly_mod(delta, (m, v), init)
-                want_terms = [k**j * v[init] % m for j in range(n)]
-                assert got == (want, want_terms), (k, n, init)
+                got = rational_pair(delta, (m, v), init)
+                want_num = [v[init] * math.comb(n - 1, j) * (-k) ** j % m for j in range(n)]
+                assert got == (want_num, want), (k, n, init)
 
 
-def test_char_poly_terms_are_the_stream_terms(rng):
-    # the power loop's n terms are the first n of the lazy stream, for
-    # the shifts mod k and for labelled components, one state included
+def test_rational_pair_numerator_is_d_times_the_stream_terms(rng):
+    # N = D S mod t^n with S the lazy stream's first n terms, for the
+    # shifts mod k and for labelled components, one state included
     for draw in range(160):
         k = rng.randint(2, 9)
         g = corpus.random_cyclic(rng, k, 1 if draw % 8 == 0 else 14)
@@ -260,9 +262,11 @@ def test_char_poly_terms_are_the_stream_terms(rng):
         vectors = [(None, 0, abelian_vector(validate_cyclic(g.automaton), 0))]
         vectors += [(labels, c, abelian_vector(labels, c)) for c in (0, 1)]
         for lab, component, vector in vectors:
-            _, stream = series_terms(g, lab, component)
-            _, terms = char_poly_mod(g.automaton.delta, vector, g.initial)
-            assert terms == list(itertools.islice(stream, n)), (g, lab, component)
+            m, stream = series_terms(g, lab, component)
+            terms = list(itertools.islice(stream, n))
+            numerator, denominator = rational_pair(g.automaton.delta, vector, g.initial)
+            want = [sum(denominator[i] * terms[j - i] for i in range(j + 1)) % m for j in range(n)]
+            assert numerator == want, (g, lab, component)
 
 
 def test_char_poly_past_forty_states():
@@ -278,7 +282,8 @@ def test_char_poly_past_forty_states():
 def test_char_poly_memory_grows_as_n_squared_lanes():
     # two powers of n^2 w bits, each with a top lane per row for the
     # label vector, and the masks: about 2.5 n^2 w bits, read by
-    # tracemalloc as under 3.5 n^2 w with object headers
+    # tracemalloc as under 3.5 n^2 w with object headers; the numerator's
+    # one product adds only O(n width) bits
     for n in (80, 120):
         g = corpus.random_cyclic(random.Random(n), 3, n, n)
         delta = g.automaton.delta
@@ -288,7 +293,7 @@ def test_char_poly_memory_grows_as_n_squared_lanes():
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            char_poly_mod(delta, vector, g.initial)
+            rational_pair(delta, vector, g.initial)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
