@@ -164,7 +164,7 @@ def test_criterion_06_conjugacy_fixtures_and_random_conjugates():
     _report(6, f"fixture verdicts exact and {len(plans)} conjugate pairs confirmed")
 
 
-def test_criterion_07_binary_fast_path_agrees():
+def test_criterion_07_binary_verdicts_match_bruteforce_level_sums():
     # over F_2, term - 1 is a linear functional of the iterates of (v, 1),
     # n + 1 coordinates, so the first n + 2 level sums decide transitivity
     rng = random.Random(SEED + 7)
@@ -179,7 +179,7 @@ def test_criterion_07_binary_fast_path_agrees():
     _report(7, "n+2 brute-force level sums decided binary transitivity 220 times")
 
 
-def test_criterion_08_prime_equality_shortcut_agrees():
+def test_criterion_08_bounded_equality_matches_full_streams():
     rng = random.Random(SEED + 8)
     for _ in range(210):
         k = rng.choice([2, 3, 4, 5, 6, 7, 8, 9])

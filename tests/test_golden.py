@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import wreathtree
-from wreathtree.cli import main
+from wreathtree.cli import COMMANDS, main
 
 FIXTURES = Path(wreathtree.__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -89,6 +89,11 @@ def test_cli_output_matches_golden(name, argv):
 def test_every_golden_file_has_a_case():
     stored = {path.stem for path in GOLDEN.glob("*.txt")}
     assert stored == {name for name, _ in CASES}
+
+
+def test_the_cases_run_every_command():
+    # the golden files are the one pin of each command's output on the fixtures
+    assert {argv[0] for _, argv in CASES} == set(COMMANDS)
 
 
 if __name__ == "__main__":

@@ -212,7 +212,7 @@ def _denominator(delta, m):
     return denominator
 
 
-def test_char_poly_examples(odometer, lamp_b):
+def test_rational_pair_examples(odometer, lamp_b):
     # det(I - At) = (1 - t)(1 - 2t) for the odometer, 1 - 2t for lamp_b
     assert _denominator(odometer.automaton.delta, 7) == [1, 4, 2]
     assert _denominator(odometer.automaton.delta, 2) == [1, 1, 0]
@@ -232,7 +232,7 @@ def test_char_poly_examples(odometer, lamp_b):
         assert str(err.value) == message
 
 
-def test_char_poly_lane_bound():
+def test_rational_pair_lane_bound():
     # every symbol loops, so A = k I and det(I - A t) = (1 - k t)^n: the
     # widest lanes, since tr(A^n) = n k^n; a nonzero vector in the top
     # lane grows to k^(n-1) v[init] and must not reach the traces, and
@@ -269,7 +269,7 @@ def test_rational_pair_numerator_is_d_times_the_stream_terms(rng):
             assert numerator == want, (g, lab, component)
 
 
-def test_char_poly_past_forty_states():
+def test_rational_pair_past_forty_states():
     # both tables are upper triangular and only the sink has a loop, so
     # det(I - A t) = 1 - k t
     for g in (corpus.chain(3, 120), corpus.tail_flip(250)):
@@ -279,7 +279,7 @@ def test_char_poly_past_forty_states():
             assert _denominator(delta, m) == [1, -k % m] + [0] * (n - 1), (n, m)
 
 
-def test_char_poly_memory_grows_as_n_squared_lanes():
+def test_rational_pair_memory_grows_as_n_squared_lanes():
     # two powers of n^2 w bits, each with a top lane per row for the
     # label vector, and the masks: about 2.5 n^2 w bits, read by
     # tracemalloc as under 3.5 n^2 w with object headers; the numerator's
@@ -300,7 +300,7 @@ def test_char_poly_memory_grows_as_n_squared_lanes():
         assert 8 * peak <= 3.5 * n * n * w, (n, 8 * peak / (n * n * w))
 
 
-def test_char_poly_matches_sympy(rng):
+def test_rational_pair_denominator_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     # many small tables with small moduli, a few large ones past 2^64,
